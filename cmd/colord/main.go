@@ -1,7 +1,7 @@
 // Command colord is the coloring daemon: a long-running HTTP/JSON service
 // that serves deterministic edge- and vertex-coloring requests on top of the
-// dist runtime, with a per-graph runner pool, a request micro-batcher, and a
-// deterministic result cache (see internal/service).
+// dist runtime, with a per-graph runner pool, single-flight coalescing of
+// concurrent misses, and a deterministic result cache (see internal/service).
 //
 // Usage:
 //
@@ -67,8 +67,6 @@ func run(args []string) error {
 		engine   = fs.String("engine", "compiled", "default dist scheduler: goroutines|lockstep|sharded|compiled (requests may override)")
 		cache    = fs.Int("cache", 4096, "result cache capacity (entries)")
 		graphs   = fs.Int("graphs", 64, "built-graph cache capacity (entries)")
-		window   = fs.Duration("batch-window", 200*time.Microsecond, "micro-batch collection window")
-		maxB     = fs.Int("batch-max", 64, "dispatch a batch early at this many distinct jobs")
 		subsMax  = fs.Int("max-subscribers", 4096, "global cap on concurrent SSE subscribers")
 		subsPer  = fs.Int("session-subscribers", 1024, "per-session SSE subscriber quota")
 		feedBuf  = fs.Int("feed-buffer", 256, "delta frames buffered per session feed (the subscriber lag bound)")
@@ -99,8 +97,6 @@ func run(args []string) error {
 		Engine:             eng,
 		CacheEntries:       *cache,
 		GraphEntries:       *graphs,
-		BatchWindow:        *window,
-		MaxBatch:           *maxB,
 		MaxSubscribers:     *subsMax,
 		SessionSubscribers: *subsPer,
 		FeedBuffer:         *feedBuf,
@@ -146,8 +142,8 @@ func run(args []string) error {
 	srv := &http.Server{Handler: s.Handler()}
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.Serve(ln) }()
-	log.Printf("colord: serving on %s (workers=%d engine=%v cache=%d graphs=%d window=%v wal=%q)",
-		bound, w, eng, *cache, *graphs, *window, *walDir)
+	log.Printf("colord: serving on %s (workers=%d engine=%v cache=%d graphs=%d wal=%q)",
+		bound, w, eng, *cache, *graphs, *walDir)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

@@ -17,8 +17,8 @@
 //
 // Determinism makes the algorithms servable: cmd/colord is a long-running
 // HTTP/JSON coloring daemon (internal/service) with a deterministic result
-// cache keyed by canonical graph fingerprints, a request micro-batcher, and
-// per-graph pools of reusable runners; cmd/loadgen drives it with mixed
+// cache keyed by canonical graph fingerprints, single-flight coalescing of
+// concurrent misses, and per-graph pools of reusable runners; cmd/loadgen drives it with mixed
 // closed-loop workloads and exports latency/throughput measurements as
 // BENCH_service.json. Locality makes them maintainable: internal/dynamic
 // keeps a legal edge coloring across edge insertions and deletions by

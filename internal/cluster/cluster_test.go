@@ -125,7 +125,7 @@ func readSSEFrame(r *bufio.Reader) (id int64, event string, data []byte, err err
 // the gateway produces exactly the bytes a single node would serve — the
 // cluster is a cache-locality optimization, never a semantic one.
 func TestClusterByteIdenticalToSingleNode(t *testing.T) {
-	cfg := service.Config{Workers: 2, BatchWindow: 100 * time.Microsecond}
+	cfg := service.Config{Workers: 2}
 	tc := startCluster(t, 3, cfg)
 	oracle := service.New(cfg)
 	defer oracle.Close()
@@ -351,7 +351,7 @@ func TestClusterByteIdenticalToSingleNode(t *testing.T) {
 // owns fills from the owner's cache instead of recomputing — runs stay at
 // one cluster-wide however the request is (mis)routed.
 func TestClusterRemoteFill(t *testing.T) {
-	cfg := service.Config{Workers: 2, BatchWindow: 100 * time.Microsecond}
+	cfg := service.Config{Workers: 2}
 	tc := startCluster(t, 3, cfg)
 
 	body := colorBody(40, 99)
@@ -403,7 +403,7 @@ func TestClusterRemoteFill(t *testing.T) {
 // plane fully available — requests retry down the rank order to the next
 // peer, bytes unchanged, and the gateway's statz shows the death.
 func TestClusterPeerDeathMidRun(t *testing.T) {
-	cfg := service.Config{Workers: 2, BatchWindow: 100 * time.Microsecond}
+	cfg := service.Config{Workers: 2}
 	tc := startCluster(t, 3, cfg)
 	oracle := service.New(cfg)
 	defer oracle.Close()

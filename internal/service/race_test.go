@@ -22,7 +22,7 @@ import (
 // directResponse computes the reference answer for req the way the CLIs do:
 // build the graph, one fresh single-threaded dist.Run on the default engine,
 // merge, validate. It shares no execution machinery with the service (no
-// pools, no cache, no batcher), so agreement is evidence, not tautology.
+// pools, no cache, no single-flight), so agreement is evidence, not tautology.
 func directResponse(t *testing.T, req Request) []byte {
 	t.Helper()
 	g, err := req.Graph.Build()
@@ -143,7 +143,7 @@ func TestStatsDuringBuilds(t *testing.T) {
 // algorithms, engines, seeds, graphs — plus deliberate duplicates to drive
 // the coalescing and cache-hit paths), and every single response must be
 // byte-identical to a fresh single-threaded dist.Run of the same request.
-// Run under -race this also validates the batcher/pool/cache locking.
+// Run under -race this also validates the single-flight/pool/cache locking.
 func TestServiceMatchesDirect(t *testing.T) {
 	reqs := []Request{
 		{Kind: "edge", Alg: "be", Graph: exp.GraphSpec{Family: "gnm", N: 36, M: 100, Seed: 1}},
@@ -183,7 +183,7 @@ func TestServiceMatchesDirect(t *testing.T) {
 		}
 	}
 
-	s := New(Config{Workers: 4, CacheEntries: 256, GraphEntries: 16, BatchWindow: 200 * time.Microsecond})
+	s := New(Config{Workers: 4, CacheEntries: 256, GraphEntries: 16})
 	defer s.Close()
 
 	// stripKey clears the response's Key field (the direct reference has no

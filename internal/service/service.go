@@ -14,12 +14,11 @@
 //     deterministic, so a key has exactly one possible value, and a hit
 //     costs zero runtime rounds (and, with the response body memoized on
 //     the entry, zero encoding work);
-//   - a micro-batcher: concurrent misses are collected for a short window,
-//     duplicates of the same key are coalesced onto one execution
-//     (single-flight), and distinct jobs of a batch dispatch together;
-//   - a bounded worker stage executing each job on the graph's runner pool
-//     (dist.Pool), so per-vertex runtime state is amortized across requests
-//     touching the same graph.
+//   - single-flight: concurrent misses for the same key coalesce onto one
+//     execution, which runs on the first caller's own goroutine;
+//   - a bounded worker stage: at most Workers executions run at once, each
+//     on the graph's runner pool (dist.Pool), so per-vertex runtime state is
+//     amortized across requests touching the same graph.
 //
 // Responses are byte-identical to a direct dist.Run of the same request —
 // fast-lane hits, cache hits, coalesced waiters, and fresh computations
@@ -32,7 +31,6 @@ import (
 	"errors"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/algreg"
 	"repro/internal/dist"
@@ -53,17 +51,6 @@ type Config struct {
 	FastEntries int
 	// GraphEntries bounds the built-graph LRU (default 64).
 	GraphEntries int
-	// BatchWindow is how long the batcher holds the first miss of a batch
-	// waiting for companions (default 200µs). Misses pay up to this much
-	// extra latency; in exchange bursts dispatch as one grouped wave and
-	// same-key arrivals within the window coalesce before any of them
-	// executes. Cache hits never enter the batcher. Latency-critical
-	// deployments can set it to 1ns to make dispatch effectively
-	// immediate.
-	BatchWindow time.Duration
-	// MaxBatch dispatches a batch early once it has this many distinct
-	// jobs (default 64).
-	MaxBatch int
 	// Sessions bounds the live dynamic graph sessions (default 32); the
 	// coldest session is evicted — state and all — when the table is full.
 	Sessions int
@@ -109,12 +96,6 @@ func (c Config) withDefaults() Config {
 	if c.GraphEntries <= 0 {
 		c.GraphEntries = 64
 	}
-	if c.BatchWindow <= 0 {
-		c.BatchWindow = 200 * time.Microsecond
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 64
-	}
 	if c.Sessions <= 0 {
 		c.Sessions = 32
 	}
@@ -144,16 +125,12 @@ const (
 	Miss Outcome = "miss"
 )
 
-// flight is one in-flight execution: the job at most one batch carries for a
-// given key at a time. Waiters accumulate until the result lands.
+// flight is one in-flight execution of a key, run by the request that missed
+// first. Coalesced requests wait on done, then read val or err.
 type flight struct {
-	c       *canonReq
-	waiters []chan flightResult
-}
-
-type flightResult struct {
-	val *cacheValue
-	err error
+	done chan struct{}
+	val  *cacheValue
+	err  error
 }
 
 // ServiceStats is the /statz snapshot. Counters are striped internally;
@@ -174,8 +151,6 @@ type ServiceStats struct {
 	// outside the Requests/outcome accounting — this is the counter that
 	// makes a client spraying garbage visible.
 	BadRequests int64 `json:"badRequests"`
-	Batches     int64 `json:"batches"`
-	MaxBatch    int64 `json:"maxBatch"`
 	Mutations   int64 `json:"mutations"`
 	// Subscribers is the current streaming-subscriber gauge; Subscribes,
 	// Delivered, and Dropped are the monotone feed counters (accepted
@@ -224,15 +199,12 @@ type Service struct {
 	sessions *sessionTable
 	hub      *subHub
 	sem      chan struct{}
-	submit   chan *flight
 
 	mu       sync.Mutex
 	inflight map[string]*flight
 	closed   bool
 
 	counters serviceCounters
-	batches  atomic.Int64
-	maxBatch atomic.Int64
 	// algGauges holds the last measured palette figures per servable
 	// algorithm (ServeIndex slots), written whenever a fresh run or a peer
 	// fill produces a record. Gauges, not counters: /statz shows the most
@@ -241,8 +213,11 @@ type Service struct {
 		colorsUsed, paletteBound atomic.Int64
 	}
 
-	stop chan struct{}
-	wg   sync.WaitGroup
+	// stop is closed by Close: misses still waiting for a worker slot give
+	// up with ErrClosed. running counts the executions Close waits out before
+	// it closes the runner pools.
+	stop    chan struct{}
+	running sync.WaitGroup
 }
 
 // New starts a Service with the given configuration.
@@ -256,20 +231,17 @@ func New(cfg Config) *Service {
 		sessions: newSessionTable(cfg.Sessions),
 		hub:      newSubHub(cfg.MaxSubscribers, cfg.SessionSubscribers, cfg.FeedBuffer),
 		sem:      make(chan struct{}, cfg.Workers),
-		submit:   make(chan *flight),
 		inflight: make(map[string]*flight),
 		stop:     make(chan struct{}),
 	}
 	// A session's end — eviction, drop, or shutdown — ends its feed:
 	// subscribers get an explicit close event, never a silent stall.
 	s.sessions.onClose = s.hub.closeFeed
-	s.wg.Add(1)
-	go s.batchLoop()
 	return s
 }
 
-// Close stops the batcher and closes every runner pool. Handle calls racing
-// with Close may return ErrClosed.
+// Close waits out the executions already running, then closes every runner
+// pool. Handle calls racing with Close may return ErrClosed.
 func (s *Service) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -279,7 +251,7 @@ func (s *Service) Close() {
 	s.closed = true
 	s.mu.Unlock()
 	close(s.stop)
-	s.wg.Wait()
+	s.running.Wait()
 	s.graphs.close()
 	s.sessions.close()
 	// After the sessions: their closes already ended their feeds via the
@@ -302,7 +274,8 @@ func (e *badRequestError) Error() string { return "bad request body: " + e.err.E
 func (e *badRequestError) Unwrap() error { return e.err }
 
 // Handle serves one request: cache lookup, then coalescing onto an in-flight
-// execution, then a batched fresh execution. Safe for arbitrary concurrency.
+// execution, then a fresh execution on the calling goroutine. Safe for
+// arbitrary concurrency.
 func (s *Service) Handle(req Request) (*Response, Outcome, error) {
 	c, v, outcome, err := s.handleCore(req)
 	if err != nil {
@@ -370,8 +343,8 @@ func (s *Service) HandleRaw(body []byte) (resp []byte, key string, outcome Outco
 }
 
 // handleCore is the shared request path behind Handle and HandleRaw:
-// resolve, result-cache lookup, then the single-flight batcher. It owns all
-// counter accounting for the request.
+// resolve, result-cache lookup, then single-flight execution on the calling
+// goroutine. It owns all counter accounting for the request.
 func (s *Service) handleCore(req Request) (*canonReq, *cacheValue, Outcome, error) {
 	c, err := s.resolve(req)
 	if err != nil {
@@ -388,8 +361,7 @@ func (s *Service) handleCore(req Request) (*canonReq, *cacheValue, Outcome, erro
 		return c, v, Hit, nil
 	}
 
-	ch := make(chan flightResult, 1)
-	outcome := Miss
+	outcome := Coalesced
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -397,131 +369,88 @@ func (s *Service) handleCore(req Request) (*canonReq, *cacheValue, Outcome, erro
 		return nil, nil, "", ErrClosed
 	}
 	f, ok := s.inflight[c.key]
-	if ok {
-		f.waiters = append(f.waiters, ch)
-		outcome = Coalesced
-	} else {
-		f = &flight{c: c, waiters: []chan flightResult{ch}}
+	if !ok {
+		f = &flight{done: make(chan struct{})}
 		s.inflight[c.key] = f
+		s.running.Add(1)
+		outcome = Miss
 	}
 	s.mu.Unlock()
 	if outcome == Coalesced {
 		ctr.coalesced.Add(1)
+		<-f.done
 	} else {
-		select {
-		case s.submit <- f:
-		case <-s.stop:
-			s.fail(f, ErrClosed)
-		}
+		s.lead(c, f)
 	}
-
-	r := <-ch
-	if r.err != nil {
+	if f.err != nil {
 		ctr.errors.Add(1)
-		return nil, nil, "", r.err
+		return nil, nil, "", f.err
 	}
-	return c, r.val, outcome, nil
+	return c, f.val, outcome, nil
 }
 
-// batchLoop is the micro-batcher: it collects submitted flights until the
-// batch window closes (measured from the first flight of the batch) or the
-// batch is full, then dispatches the whole batch to the worker stage.
-func (s *Service) batchLoop() {
-	defer s.wg.Done()
-	var batch []*flight
-	timer := time.NewTimer(0)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	flush := func() {
-		if len(batch) == 0 {
-			return
-		}
-		s.batches.Add(1)
-		if n := int64(len(batch)); n > s.maxBatch.Load() {
-			s.maxBatch.Store(n)
-		}
-		for _, f := range batch {
-			s.wg.Add(1)
-			go s.exec(f)
-		}
-		batch = nil
-	}
-	for {
-		select {
-		case f := <-s.submit:
-			batch = append(batch, f)
-			if len(batch) == 1 {
-				timer.Reset(s.cfg.BatchWindow)
-			}
-			if len(batch) >= s.cfg.MaxBatch {
-				if !timer.Stop() {
-					<-timer.C
-				}
-				flush()
-			}
-		case <-timer.C:
-			flush()
-		case <-s.stop:
-			for _, f := range batch {
-				s.fail(f, ErrClosed)
-			}
-			// Flights submitted concurrently with shutdown are failed by
-			// handleCore's own select; nothing further arrives here.
-			return
-		}
-	}
+// errAbandoned is what coalesced waiters see if their leader's execution
+// panicked instead of returning.
+var errAbandoned = errors.New("service: execution abandoned")
+
+// lead executes the flight's key and lands the result for every coalesced
+// waiter. The landing is deferred: net/http recovers a panicking handler, and
+// its waiters and Close must not hang on it.
+func (s *Service) lead(c *canonReq, f *flight) {
+	f.err = errAbandoned
+	defer func() {
+		s.mu.Lock()
+		delete(s.inflight, c.key)
+		s.mu.Unlock()
+		close(f.done)
+		s.running.Done()
+	}()
+	f.val, f.err = s.exec(c)
 }
 
-// exec runs one flight on the bounded worker stage and delivers the cache
-// entry to every waiter. The fill renders the filling request's response
-// body eagerly, so by the time waiters wake the entry already carries the
-// bytes the HTTP layer writes.
-func (s *Service) exec(f *flight) {
-	defer s.wg.Done()
-	s.sem <- struct{}{}
+// exec computes one key on the bounded worker stage: a cache recheck, then a
+// peer fill, then a local run. It renders the entry's response body eagerly,
+// so by the time coalesced waiters wake the entry already carries the bytes
+// the HTTP layer writes.
+func (s *Service) exec(c *canonReq) (*cacheValue, error) {
+	select {
+	case s.sem <- struct{}{}:
+	case <-s.stop:
+		return nil, ErrClosed
+	}
 	defer func() { <-s.sem }()
 	// A flight for this key may have completed and cached between our
 	// cache miss and this execution; determinism makes recomputing merely
 	// wasteful, so look once more before running.
-	v, ok := s.cache.getHash(f.c.key, f.c.hash)
+	v, ok := s.cache.getHash(c.key, c.hash)
 	if !ok && s.cfg.RemoteFill != nil {
 		// Cross-node fill: a miss here may be a hit in the key's rendezvous
 		// owner's cache. Determinism makes a fetched record as good as a
 		// local run — same key, same bytes — and the decode guard means a
 		// corrupt or impostor response degrades to computing, never to
 		// serving bad bytes.
-		if raw := s.cfg.RemoteFill(f.c.req.Graph.String(), f.c.key); raw != nil {
+		if raw := s.cfg.RemoteFill(c.req.Graph.String(), c.key); raw != nil {
 			if rec, err := decodeRecord(raw); err == nil {
-				s.counters.stripe(f.c.hash).filled.Add(1)
-				s.observePalette(f.c, rec)
-				v = s.cache.putHash(f.c.key, f.c.hash, newCacheValue(f.c.key, raw))
+				s.counters.stripe(c.hash).filled.Add(1)
+				s.observePalette(c, rec)
+				v = s.cache.putHash(c.key, c.hash, newCacheValue(c.key, raw))
 				ok = true
 			}
 		}
 	}
 	if !ok {
-		s.counters.stripe(f.c.hash).runs.Add(1)
-		rec, err := f.c.runner(f.c)
+		s.counters.stripe(c.hash).runs.Add(1)
+		rec, err := c.runner(c)
 		if err != nil {
-			s.fail(f, err)
-			return
+			return nil, err
 		}
-		s.observePalette(f.c, rec)
-		v = s.cache.putHash(f.c.key, f.c.hash, newCacheValue(f.c.key, rec.encode()))
+		s.observePalette(c, rec)
+		v = s.cache.putHash(c.key, c.hash, newCacheValue(c.key, rec.encode()))
 	}
-	if _, err := v.bodyFor(f.c.req.Graph.String()); err != nil {
-		s.fail(f, err)
-		return
+	if _, err := v.bodyFor(c.req.Graph.String()); err != nil {
+		return nil, err
 	}
-	s.mu.Lock()
-	delete(s.inflight, f.c.key)
-	waiters := f.waiters
-	f.waiters = nil
-	s.mu.Unlock()
-	for _, ch := range waiters {
-		ch <- flightResult{val: v}
-	}
+	return v, nil
 }
 
 // observePalette stores a record's measured palette figures into the
@@ -530,18 +459,6 @@ func (s *Service) observePalette(c *canonReq, rec *record) {
 	g := &s.algGauges[c.alg.ServeIndex()]
 	g.colorsUsed.Store(int64(rec.colorsUsed))
 	g.paletteBound.Store(int64(rec.palette))
-}
-
-// fail delivers err to every waiter of f and retires the flight.
-func (s *Service) fail(f *flight, err error) {
-	s.mu.Lock()
-	delete(s.inflight, f.c.key)
-	waiters := f.waiters
-	f.waiters = nil
-	s.mu.Unlock()
-	for _, ch := range waiters {
-		ch <- flightResult{err: err}
-	}
 }
 
 // CachedRecord returns the encoded cache record under key, if the result
@@ -579,8 +496,6 @@ func (s *Service) Stats() ServiceStats {
 		Runs:        t.runs,
 		Errors:      t.errors,
 		BadRequests: t.badRequests,
-		Batches:     s.batches.Load(),
-		MaxBatch:    s.maxBatch.Load(),
 		Mutations:   t.mutations,
 		Subscribers: int64(s.hub.subscribers()),
 		Subscribes:  t.subscribes,

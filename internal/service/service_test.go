@@ -8,7 +8,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/dist"
 	"repro/internal/exp"
@@ -16,7 +15,7 @@ import (
 )
 
 func testConfig() Config {
-	return Config{Workers: 2, CacheEntries: 128, GraphEntries: 8, BatchWindow: 100 * time.Microsecond}
+	return Config{Workers: 2, CacheEntries: 128, GraphEntries: 8}
 }
 
 func gnmReq(kind, alg string, seed int64) Request {
