@@ -14,14 +14,15 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 )
 
 // Result is one benchmark line.
 type Result struct {
-	// Name is the full benchmark name including sub-benchmarks and the
-	// -cpu suffix, e.g. "BenchmarkEngines/steady/sharded".
+	// Name is the full benchmark name including sub-benchmarks, without
+	// the GOMAXPROCS suffix, e.g. "BenchmarkEngines/steady/sharded".
 	Name string `json:"name"`
 	// Pkg is the package the benchmark belongs to (the preceding "pkg:"
 	// header line), when present.
@@ -81,6 +82,17 @@ func parse(sc *bufio.Scanner) (*Report, error) {
 	return rep, sc.Err()
 }
 
+// procSuffix is the "-N" go test appends to every benchmark name when
+// GOMAXPROCS is N > 1. benchjson runs on the host that just ran the
+// benchmarks, so trimming it keeps a name the same on hosts with different
+// CPU counts, and so comparable against a committed baseline.
+var procSuffix = func() string {
+	if n := runtime.GOMAXPROCS(0); n > 1 {
+		return fmt.Sprintf("-%d", n)
+	}
+	return ""
+}()
+
 // parseBenchLine parses one result line of the standard bench format:
 //
 //	BenchmarkName-8   	     100	  11514793 ns/op	 7207 B/op	 121 allocs/op
@@ -95,7 +107,7 @@ func parseBenchLine(line string) (Result, bool) {
 	if err != nil {
 		return Result{}, false
 	}
-	res := Result{Name: fields[0], Runs: runs, Metrics: map[string]float64{}}
+	res := Result{Name: strings.TrimSuffix(fields[0], procSuffix), Runs: runs, Metrics: map[string]float64{}}
 	for i := 2; i+1 < len(fields); i += 2 {
 		val, err := strconv.ParseFloat(fields[i], 64)
 		if err != nil {

@@ -7,8 +7,9 @@
 // The library implements the paper's LOCAL-model algorithms — Procedure
 // Defective-Color, Procedure Legal-Color, their §5 edge-coloring variants
 // for general graphs, and the §6 extensions — together with every substrate
-// they depend on (a synchronous message-passing simulator with three
-// interchangeable engines — Goroutines, Lockstep, and Sharded — and a
+// they depend on (a synchronous message-passing simulator whose one
+// sharded token-chain scheduler runs under three interchangeable engine
+// names — Goroutines, Lockstep (one shard), and Sharded — and a
 // reusable Runner that amortizes the runtime state across repeated runs;
 // CSR graphs with build-time reverse ports; Linial's cover-free color
 // reduction, Kuhn's defective colorings, Cole–Vishkin forest 3-coloring,

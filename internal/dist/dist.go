@@ -18,33 +18,31 @@
 // performs that translation during delivery, so algorithms never see the
 // remote port numbering.
 //
-// Engines. Three interchangeable schedulers execute the same contract and
-// are selected with WithEngine:
+// Engines. One scheduler executes every per-vertex function: each vertex
+// runs as an instance on its own goroutine, and the vertex set is split
+// into contiguous shards whose instances pass a release token down the
+// shard in index order, while distinct shards run concurrently (sharded.go
+// documents the mechanism). WithEngine names a shard count:
 //
-//   - Goroutines (default) spawns one goroutine per vertex, synchronized by
-//     a round barrier — the "one goroutine per vertex" simulator promised by
-//     the package documentation. Vertices genuinely run concurrently between
-//     barriers, so `go test -race` exercises real message-passing isolation.
-//   - Lockstep resumes vertices one at a time, in vertex order, within each
-//     round. No two vertex instances ever run simultaneously, which removes
-//     all barrier contention and touches memory in index order.
-//   - Sharded partitions vertices into contiguous shards (GOMAXPROCS by
-//     default, WithShards to override) with one logical worker per shard:
-//     releases chain through each shard in index order via direct
-//     vertex-to-vertex token handoff, message accounting is tallied
-//     sender-side per shard and merged in shard index order, and delivery
-//     is destination-sharded (each worker gathers its own vertices' inboxes
-//     in parallel). It is the engine for large or repeated runs.
+//   - Goroutines (default) and Sharded use WithShards shards, GOMAXPROCS by
+//     default. Vertices of different shards genuinely run concurrently
+//     between round barriers, so `go test -race` exercises real
+//     message-passing isolation.
+//   - Lockstep uses exactly one shard: no two vertex instances ever run
+//     simultaneously, and every round resumes the vertices in index order.
+//   - Compiled runs algorithms that carry a whole-graph form (RunAlgo) as
+//     flat passes over the graph arrays and falls back to Lockstep for a
+//     plain per-vertex function.
 //
 // For a fixed graph and seed all engines produce byte-identical
 // Result.Outputs and Result.Stats: scheduling differs, the computation does
 // not. TestEnginesAgree pins this.
 //
 // Reuse. Run rebuilds the per-vertex runtime state from scratch on every
-// call. NewRunner amortizes that state — procs, channels, pooled round
-// inboxes — across repeated runs over the same graph, so a steady-state run
-// allocates only its Result; experiment grids that execute thousands of
-// runs should hold one Runner per graph.
+// call. NewRunner amortizes that state — procs, goroutines, shards, pooled
+// round inboxes — across repeated runs over the same graph, so a
+// steady-state run allocates only its Result; experiment grids that execute
+// thousands of runs should hold one Runner per graph.
 //
 // Determinism. WithSeed fixes the per-vertex PRNG streams returned by
 // Process.Rand; each vertex derives its stream from (seed, identifier) with
@@ -163,16 +161,18 @@ type Result[T any] struct {
 type Engine int
 
 const (
-	// Goroutines runs one goroutine per vertex with a barrier per round:
-	// the faithful concurrent LOCAL-model execution. Default.
+	// Goroutines runs every vertex on its own goroutine, on WithShards
+	// concurrent shards (GOMAXPROCS by default), with a barrier per round:
+	// the concurrent LOCAL-model execution. Default. It runs on the same
+	// scheduler as Sharded; the two names are interchangeable.
 	Goroutines Engine = iota
-	// Lockstep resumes vertices sequentially (in vertex order) within each
-	// round: no concurrency, no contention, cache-friendly on large graphs.
+	// Lockstep runs the scheduler with exactly one shard: vertices resume
+	// sequentially (in vertex order) within each round, with no concurrency.
 	Lockstep
-	// Sharded partitions vertices into contiguous shards with one logical
-	// worker each: per-shard token-chain releases, sender-side per-shard
-	// accounting merged in index order, and destination-sharded parallel
-	// gather delivery. The fastest engine for large or repeated runs.
+	// Sharded runs the scheduler on WithShards contiguous vertex shards
+	// (GOMAXPROCS by default): per-shard token-chain releases, sender-side
+	// per-shard accounting merged in index order, and destination-sharded
+	// parallel delivery. Identical to Goroutines.
 	Sharded
 	// Compiled executes algorithms that carry a CompiledAlgo form (see Algo
 	// and RunAlgo) as tight whole-graph passes over the flat CSR arrays — no
@@ -250,11 +250,18 @@ func WithMaxRounds(r int) Option {
 	return func(c *config) { c.maxRounds = r }
 }
 
-// WithShards fixes the shard count of the Sharded engine (clamped to the
-// vertex count; n <= 0 restores the GOMAXPROCS default). Outputs and Stats
-// do not depend on the shard count — the knob exists for tuning and for
-// tests that want to exercise multi-shard interleavings on any machine.
-// The other engines ignore it.
+// MaxShards caps the shard count of a run. Multi-shard delivery keeps one
+// message queue per (source, destination) shard pair and starts one drain
+// goroutine per shard every round, so the count bounds that state at
+// MaxShards² queues regardless of what a caller asks for.
+const MaxShards = 64
+
+// WithShards fixes the shard count of the Goroutines and Sharded engines
+// (clamped to the vertex count and to MaxShards; n <= 0 restores the
+// GOMAXPROCS default). Outputs and Stats do not depend on the shard count —
+// the knob exists for tuning and for tests that want to exercise
+// multi-shard interleavings on any machine. Lockstep always runs one shard,
+// and Compiled ignores the knob.
 func WithShards(n int) Option {
 	return func(c *config) { c.shards = n }
 }

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -175,109 +176,124 @@ func TestEchoForwardAcrossEngines(t *testing.T) {
 	}
 }
 
-// TestShardedIsSequentialWithinShard: with a single shard the Sharded engine
-// is globally sequential in index order, so unsynchronized shared state is
-// safe (and -race agrees), exactly like Lockstep.
+// TestShardedIsSequentialWithinShard: with a single shard — Lockstep, or
+// Sharded with WithShards(1) — the scheduler is globally sequential in index
+// order, so unsynchronized writes to shared state are safe (and -race
+// agrees). The counter checks mutual exclusion via max concurrency.
 func TestShardedIsSequentialWithinShard(t *testing.T) {
-	g := graph.Complete(10)
-	running := 0
-	maxRunning := 0
-	_, err := Run(g, func(v Process) int {
-		for r := 0; r < 3; r++ {
-			running++
-			if running > maxRunning {
-				maxRunning = running
+	for _, tc := range []struct {
+		name string
+		opts []Option
+	}{
+		{"lockstep", []Option{WithEngine(Lockstep)}},
+		{"sharded-1", []Option{WithEngine(Sharded), WithShards(1)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := graph.Complete(10)
+			running := 0
+			maxRunning := 0
+			_, err := Run(g, func(v Process) int {
+				for r := 0; r < 3; r++ {
+					running++
+					if running > maxRunning {
+						maxRunning = running
+					}
+					running--
+					v.Round(nil)
+				}
+				return 0
+			}, tc.opts...)
+			if err != nil {
+				t.Fatal(err)
 			}
-			running--
-			v.Round(nil)
-		}
-		return 0
-	}, WithEngine(Sharded), WithShards(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if maxRunning != 1 {
-		t.Fatalf("max concurrent vertices = %d, want 1", maxRunning)
+			if maxRunning != 1 {
+				t.Fatalf("max concurrent vertices = %d, want 1", maxRunning)
+			}
+		})
 	}
 }
 
-// TestShardedUnderRace drives the Sharded engine with several shards on a
-// dense graph with real cross-shard message traffic; under -race this
-// validates the token-chain release and the destination-sharded gather.
+// TestShardedUnderRace drives the concurrent engines on a dense graph with
+// real cross-shard message traffic; under -race this validates the
+// token-chain release and the destination-sharded delivery.
 func TestShardedUnderRace(t *testing.T) {
-	g := graph.Complete(40)
-	res, err := Run(g, func(v Process) int {
-		total := 0
-		for r := 0; r < 5; r++ {
-			in := v.Broadcast(wire.EncodeInts(v.ID() + r))
-			for _, msg := range in {
-				vals, err := wire.DecodeInts(msg, 1)
-				if err != nil {
-					panic(err)
+	for _, tc := range []struct {
+		name string
+		opts []Option
+	}{
+		{"goroutines", []Option{WithEngine(Goroutines)}},
+		{"sharded-7", []Option{WithEngine(Sharded), WithShards(7)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := graph.Complete(40)
+			res, err := Run(g, func(v Process) int {
+				total := 0
+				for r := 0; r < 5; r++ {
+					in := v.Broadcast(wire.EncodeInts(v.ID() + r))
+					for _, msg := range in {
+						vals, err := wire.DecodeInts(msg, 1)
+						if err != nil {
+							panic(err)
+						}
+						total += vals[0]
+					}
 				}
-				total += vals[0]
+				return total
+			}, tc.opts...)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		return total
-	}, WithEngine(Sharded), WithShards(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v, got := range res.Outputs {
-		want := 0
-		for u := 0; u < g.N(); u++ {
-			if u == v {
-				continue
+			// Every vertex receives the same multiset of broadcasts.
+			for v, got := range res.Outputs {
+				want := 0
+				for u := 0; u < g.N(); u++ {
+					if u == v {
+						continue
+					}
+					for r := 0; r < 5; r++ {
+						want += g.ID(u) + r
+					}
+				}
+				if got != want {
+					t.Fatalf("vertex %d: total %d, want %d", v, got, want)
+				}
 			}
-			for r := 0; r < 5; r++ {
-				want += g.ID(u) + r
+			if res.Stats.Rounds != 5 {
+				t.Fatalf("rounds = %d, want 5", res.Stats.Rounds)
 			}
-		}
-		if got != want {
-			t.Fatalf("vertex %d: total %d, want %d", v, got, want)
-		}
+		})
 	}
 }
 
-// TestGoroutineEngineUnderRace drives the concurrent engine on a dense graph
-// with real cross-vertex message traffic; run with -race this validates the
-// handoff discipline of the barrier scheduler.
-func TestGoroutineEngineUnderRace(t *testing.T) {
-	g := graph.Complete(40)
-	res, err := Run(g, func(v Process) int {
-		total := 0
-		for r := 0; r < 5; r++ {
-			in := v.Broadcast(wire.EncodeInts(v.ID() + r))
-			for _, msg := range in {
-				vals, err := wire.DecodeInts(msg, 1)
-				if err != nil {
-					panic(err)
-				}
-				total += vals[0]
-			}
-		}
-		return total
-	}, WithEngine(Goroutines))
+// TestShardCountIsBounded: a shard count far above MaxShards is clamped, so
+// a run's queue state stays bounded no matter what a caller asks for, and
+// the outputs still match the default run. The algorithm allocates almost
+// nothing itself, so the budget measures the runtime's own state.
+func TestShardCountIsBounded(t *testing.T) {
+	g := graph.Cycle(4000)
+	algo := func(v Process) int {
+		in := v.Broadcast([]byte{byte(v.ID())})
+		in = v.Broadcast(in[0])
+		return int(in[0][0])
+	}
+	want, err := Run(g, algo)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Every vertex receives the same multiset of broadcasts.
-	for v, got := range res.Outputs {
-		want := 0
-		for u := 0; u < g.N(); u++ {
-			if u == v {
-				continue
-			}
-			for r := 0; r < 5; r++ {
-				want += g.ID(u) + r
-			}
-		}
-		if got != want {
-			t.Fatalf("vertex %d: total %d, want %d", v, got, want)
-		}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	got, err := Run(g, algo, WithEngine(Sharded), WithShards(4000))
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if res.Stats.Rounds != 5 {
-		t.Fatalf("rounds = %d, want 5", res.Stats.Rounds)
+	if !reflect.DeepEqual(got.Outputs, want.Outputs) || got.Stats != want.Stats {
+		t.Fatal("WithShards(4000) run diverged from the default run")
+	}
+	const budget = 16 << 20
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > budget {
+		t.Fatalf("WithShards(4000) allocated %d bytes, budget %d", alloc, budget)
 	}
 }
 
@@ -520,31 +536,5 @@ func TestBroadcastNilAdvancesRound(t *testing.T) {
 	}
 	if !reflect.DeepEqual(res.Outputs, []int{1, 2, 1}) {
 		t.Fatalf("outputs %v", res.Outputs)
-	}
-}
-
-// TestLockstepIsSequential: under Lockstep no two vertex instances run
-// concurrently, so unsynchronized writes to shared state are safe (and
-// -race agrees). The counter checks mutual exclusion via max concurrency.
-func TestLockstepIsSequential(t *testing.T) {
-	g := graph.Complete(10)
-	running := 0
-	maxRunning := 0
-	_, err := Run(g, func(v Process) int {
-		for r := 0; r < 3; r++ {
-			running++
-			if running > maxRunning {
-				maxRunning = running
-			}
-			running--
-			v.Round(nil)
-		}
-		return 0
-	}, WithEngine(Lockstep))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if maxRunning != 1 {
-		t.Fatalf("max concurrent vertices = %d, want 1", maxRunning)
 	}
 }

@@ -29,12 +29,13 @@ func Run[T any](g *graph.Graph, algo func(Process) T, opts ...Option) (*Result[T
 
 // Runner executes repeated runs over one graph, amortizing the per-vertex
 // runtime state — proc structs, the vertex goroutines themselves, resume
-// channels, the event queue, round inbox buffers, and Broadcast scratch
-// outboxes — so that a steady-state run costs O(work), not O(bookkeeping).
-// The reverse-port tables live in the graph itself (graph.ReversePorts,
-// precomputed at build time), so a Runner adds no per-run preprocessing at
-// all: between runs the vertex goroutines stay parked, and a new run merely
-// resets statuses and releases them again.
+// channels, the shard partition and its delivery queues, round inbox
+// buffers, and Broadcast scratch outboxes — so that a steady-state run
+// costs O(work), not O(bookkeeping). The reverse-port tables live in the
+// graph itself (graph.ReversePorts, precomputed at build time), so a Runner
+// adds no per-run preprocessing at all: between runs the vertex goroutines
+// stay parked, and a new run merely resets statuses and releases them
+// again.
 //
 // Reuse contract: a Runner is NOT safe for concurrent use — runs must be
 // issued one at a time (each run still executes vertices concurrently
@@ -53,14 +54,13 @@ type Runner[T any] struct {
 	delta int
 
 	procs   []*proc[T]
-	status  []uint8       // dense per-vertex lifecycle, indexed like procs
-	outbox  [][][]byte    // dense per-vertex staged outboxes
-	shardOf []int32       // dense vertex -> shard index (Sharded runs)
-	written [][]slotRef   // per dest shard: inbox slots filled last round
-	queues  [][][]qentry  // [src shard][dest shard] staged message queue
-	events  chan event[T] // Goroutines/Lockstep event queue, capacity n
-	shards  []shard[T]    // Sharded partition, rebuilt when the count changes
-	life    *lifeline[T]  // shuts down the current goroutine generation
+	status  []uint8      // dense per-vertex lifecycle, indexed like procs
+	outbox  [][][]byte   // dense per-vertex staged outboxes
+	shardOf []int32      // dense vertex -> shard index (multi-shard runs)
+	written [][]slotRef  // per dest shard: inbox slots filled last round
+	queues  [][][]qentry // [src shard][dest shard] staged message queue
+	shards  []shard[T]   // vertex partition, rebuilt when the count changes
+	life    *lifeline[T] // shuts down the current goroutine generation
 
 	// oneShot marks a Runner used for a single package-level Run: vertex
 	// goroutines exit as soon as their vertex halts instead of parking for
@@ -124,7 +124,6 @@ func (r *Runner[T]) discard() {
 	r.shardOf = nil
 	r.written = nil
 	r.queues = nil
-	r.events = nil
 	r.shards = nil
 	r.spawned = false
 }
@@ -208,48 +207,41 @@ func (r *Runner[T]) prepare(cfg config, algo func(Process) T, res *Result[T]) *s
 		outbox:  r.outbox,
 		life:    r.life,
 	}
-	count := 1 // destination partitions used by delivery bookkeeping
-	if cfg.engine == Sharded {
+	count := 1 // Lockstep runs on a single shard
+	if cfg.engine != Lockstep {
 		count = cfg.shards
 		if count <= 0 {
 			count = runtime.GOMAXPROCS(0)
 		}
-		if count > n {
-			count = n
-		}
-		if len(r.shards) != count {
-			r.shards = make([]shard[T], count)
-			for i := range r.shards {
-				r.shards[i] = shard[T]{
-					index: i,
-					lo:    i * n / count,
-					hi:    (i + 1) * n / count,
-					done:  make(chan struct{}, 1),
-				}
+		count = min(count, n, MaxShards)
+	}
+	if len(r.shards) != count {
+		r.shards = make([]shard[T], count)
+		for i := range r.shards {
+			r.shards[i] = shard[T]{
+				index: i,
+				lo:    i * n / count,
+				hi:    (i + 1) * n / count,
+				done:  make(chan struct{}, 1),
 			}
 		}
-		// A single shard needs no destination binning: its delivery is the
-		// shared scatter pass (which also does the accounting), so the
-		// queue and shard-lookup machinery stays nil and yields cost O(1).
-		if count > 1 {
-			if r.shardOf == nil {
-				r.shardOf = make([]int32, n)
-			}
-			if len(r.queues) != count {
-				r.queues = make([][][]qentry, count)
-				for i := range r.queues {
-					r.queues[i] = make([][]qentry, count)
-				}
-			}
-			s.shardOf = r.shardOf
-			s.queues = r.queues
+	}
+	s.shards = r.shards
+	// A single shard needs no destination binning: its delivery is the
+	// scatter pass (which also does the accounting), so the queue and
+	// shard-lookup machinery stays nil and yields cost O(1).
+	if count > 1 {
+		if r.shardOf == nil {
+			r.shardOf = make([]int32, n)
 		}
-		s.shards = r.shards
-	} else {
-		if r.events == nil {
-			r.events = make(chan event[T], n)
+		if len(r.queues) != count {
+			r.queues = make([][][]qentry, count)
+			for i := range r.queues {
+				r.queues[i] = make([][]qentry, count)
+			}
 		}
-		s.events = r.events
+		s.shardOf = r.shardOf
+		s.queues = r.queues
 	}
 	if len(r.written) != count {
 		r.written = make([][]slotRef, count)
@@ -260,7 +252,6 @@ func (r *Runner[T]) prepare(cfg config, algo func(Process) T, res *Result[T]) *s
 		p.rng = nil
 		p.exiting = false
 		p.next = nil
-		p.shard = nil
 		r.status[p.idx] = statusRunning
 		r.outbox[p.idx] = nil
 	}
@@ -297,30 +288,13 @@ const (
 	statusDone                 // returned; output recorded
 )
 
-// event is the single message a released vertex goroutine reports back to
-// the Goroutines/Lockstep scheduler: it reached Round (yielded), returned
-// (done), or panicked. The Sharded engine reports through the shard token
-// chain instead and never touches the event queue.
-type event[T any] struct {
-	p     *proc[T]
-	kind  int // one of evYield, evDone, evPanic
-	val   T   // valid when kind == evDone
-	panic any // valid when kind == evPanic
-}
-
-const (
-	evYield = iota
-	evDone
-	evPanic
-)
-
 // slotRef names one inbox slot filled by a delivery; the next delivery (or
 // the next run) clears exactly these slots, so the all-nil inbox invariant
 // is maintained in O(messages), not O(m).
 type slotRef struct{ idx, port int32 }
 
-// qentry is one staged message in a Sharded delivery queue: the destination
-// vertex, the destination-side port, and the payload.
+// qentry is one staged message in a multi-shard delivery queue: the
+// destination vertex, the destination-side port, and the payload.
 type qentry struct {
 	dst, port int32
 	msg       []byte
@@ -361,8 +335,8 @@ type proc[T any] struct {
 	// inbox slots, so the staged slice must not be the inbox itself.
 	echo [][]byte
 
-	// Sharded-engine state: the shard owning this vertex (nil under the
-	// other engines) and the successor in the current round's token chain.
+	// The shard owning this vertex and the successor in the current
+	// round's token chain.
 	shard *shard[T]
 	next  *proc[T]
 }
@@ -400,17 +374,7 @@ func (p *proc[T]) Round(out [][]byte) [][]byte {
 		copy(p.echo, out)
 		out = p.echo
 	}
-	if p.s.queues == nil {
-		// The scatter delivery reads the staged outbox from this dense
-		// array; the multi-shard queue path captures messages at yield
-		// time instead and must not pin the slice for the rest of the run.
-		p.s.outbox[p.idx] = out
-	}
-	if p.shard != nil {
-		p.yieldSharded(out)
-	} else {
-		p.park(event[T]{p: p, kind: evYield})
-	}
+	p.yield(out)
 	if p.inbox == nil {
 		// Nothing was ever delivered to this vertex; materialize the empty
 		// inbox so the return is indexable.
@@ -443,32 +407,10 @@ func sameBuffer(a, b []byte) bool {
 	return len(a) == len(b) && len(a) > 0 && &a[0] == &b[0]
 }
 
-// park reports e to the scheduler and blocks until the next release token.
-// If the run aborts while parked, the token is lifeline.kill's and the
-// goroutine unwinds via runtime.Goexit (running user defers, reporting
-// nothing further).
-//
-// The event send is a plain send on purpose: events has capacity n and a
-// live, non-exiting vertex has at most one event in flight (it blocks on
-// resume right after sending), so the send can never block — even after an
-// abort, when the scheduler has stopped draining. The exiting guard keeps
-// that capacity argument true when user defers call Round during the
-// Goexit unwind of an aborted run.
-func (p *proc[T]) park(e event[T]) {
-	if p.exiting {
-		runtime.Goexit()
-	}
-	p.s.events <- e
-	<-p.resume
-	if p.s.life.dead.Load() {
-		p.exiting = true
-		runtime.Goexit()
-	}
-}
-
-// sched drives one run. All engines share it; they differ in how releases
-// within a round are ordered (concurrent, sequential, or chained per shard)
-// and in whether delivery scatters from senders or gathers at destinations.
+// sched drives one run on the shard token chain (see sharded.go). The
+// scheduled engines differ only in the shard count: one shard releases every
+// vertex in index order, several run their chains concurrently and deliver
+// through per-shard queues instead of the single-shard scatter pass.
 type sched[T any] struct {
 	g       *graph.Graph
 	cfg     config
@@ -478,33 +420,25 @@ type sched[T any] struct {
 	oneShot bool
 
 	procs   []*proc[T]
-	status  []uint8       // per-vertex lifecycle, dense for delivery scans
-	outbox  [][][]byte    // per-vertex staged outboxes, dense for delivery scans
-	shardOf []int32       // vertex -> shard index (Sharded runs)
-	written [][]slotRef   // per dest shard: inbox slots filled last round
-	queues  [][][]qentry  // [src shard][dest shard] staged message queues
-	events  chan event[T] // buffered n: a vertex send never blocks (nil under Sharded)
-	life    *lifeline[T]  // generation shutdown switch; never tripped by run itself
-	shards  []shard[T]    // Sharded partition (nil under the other engines)
+	status  []uint8      // per-vertex lifecycle, dense for delivery scans
+	outbox  [][][]byte   // per-vertex staged outboxes, read by the one-shard scatter
+	shardOf []int32      // vertex -> shard index (nil with one shard)
+	written [][]slotRef  // per dest shard: inbox slots filled last round
+	queues  [][][]qentry // [src shard][dest shard] staged messages (nil with one shard)
+	life    *lifeline[T] // generation shutdown switch; never tripped by run itself
+	shards  []shard[T]   // vertex partition, at least one shard
 }
 
 // run drives rounds until every vertex has halted, a vertex panics, or the
 // round cap trips. On error the caller (Runner.Run) kills the goroutine
 // generation; run itself never trips the lifeline.
-func (s *sched[T]) run() (err error) {
-	sharded := s.cfg.engine == Sharded
+func (s *sched[T]) run() error {
 	// active is filtered in place each round, so it must not alias s.procs
 	// (delivery indexes s.procs by vertex).
 	active := append([]*proc[T](nil), s.procs...)
 	for len(active) > 0 {
-		var perr error
-		if sharded {
-			perr = s.releaseSharded(active)
-		} else {
-			perr = s.releaseAll(active)
-		}
-		if perr != nil {
-			return perr
+		if err := s.release(active); err != nil {
+			return err
 		}
 		arrived := active[:0]
 		for _, p := range active {
@@ -520,7 +454,7 @@ func (s *sched[T]) run() (err error) {
 		if s.cfg.maxRounds > 0 && s.res.Stats.Rounds > s.cfg.maxRounds {
 			return roundCapErr(s.cfg.maxRounds, s.res.Stats)
 		}
-		if sharded && s.queues != nil {
+		if s.queues != nil {
 			s.deliverSharded()
 		} else {
 			s.deliver(arrived)
@@ -548,87 +482,38 @@ func vertexLoop[T any](p *proc[T], life *lifeline[T]) {
 }
 
 // vertexRun executes one released algorithm instance to completion and
-// reports its return value; it reports a panic anywhere in the algorithm
-// instead (runtime.Goexit from an aborted park skips both reports: recover
-// returns nil during Goexit). The return value says whether the goroutine
-// should keep serving future runs.
+// records its return value; it records a panic anywhere in the algorithm
+// instead (runtime.Goexit from an aborted yield skips both: recover returns
+// nil during Goexit). The return value says whether the goroutine should
+// keep serving future runs.
 func vertexRun[T any](p *proc[T]) (alive bool) {
 	alive = true
 	defer func() {
 		if r := recover(); r != nil && !p.exiting {
 			alive = false
-			if p.shard != nil {
-				p.failSharded(r)
-			} else {
-				p.s.events <- event[T]{p: p, kind: evPanic, panic: r} // never blocks, see park
-			}
+			p.fail(r)
 		}
 	}()
 	val := p.s.algo(p)
 	if p.s.oneShot {
 		alive = false
 	}
-	if p.shard != nil {
-		// The vertex still holds its shard's token: record the output and
-		// status directly and pass the token on. The end-of-round barrier
-		// publishes both to the scheduler.
-		p.s.res.Outputs[p.idx] = val
-		p.s.status[p.idx] = statusDone
-		p.passToken()
-		return alive
-	}
-	p.s.events <- event[T]{p: p, kind: evDone, val: val} // never blocks, see park
+	// The vertex still holds its shard's token: record the output and
+	// status directly and pass the token on. The end-of-round barrier
+	// publishes both to the scheduler.
+	p.s.res.Outputs[p.idx] = val
+	p.s.status[p.idx] = statusDone
+	p.passToken()
 	return alive
 }
 
-// releaseAll resumes every active vertex and waits until each has yielded at
-// Round or halted, updating statuses and recording outputs. Under Goroutines
-// all vertices run concurrently between release and collection; under
-// Lockstep each vertex is released only after the previous one yielded, so
-// at most one vertex instance executes at any time.
-func (s *sched[T]) releaseAll(active []*proc[T]) error {
-	sequential := s.cfg.engine == Lockstep
-	pending := 0
-	for _, p := range active {
-		s.status[p.idx] = statusRunning
-		p.resume <- struct{}{}
-		pending++
-		if sequential {
-			if err := s.collect(&pending); err != nil {
-				return err
-			}
-		}
-	}
-	for pending > 0 {
-		if err := s.collect(&pending); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// collect consumes one event, decrementing *pending.
-func (s *sched[T]) collect(pending *int) error {
-	e := <-s.events
-	*pending--
-	switch e.kind {
-	case evYield:
-		s.status[e.p.idx] = statusYielded
-	case evDone:
-		s.status[e.p.idx] = statusDone
-		s.res.Outputs[e.p.idx] = e.val
-	case evPanic:
-		return fmt.Errorf("dist: vertex id %d panicked: %v", e.p.id, e.panic)
-	}
-	return nil
-}
-
-// deliver moves the staged outboxes of the vertices that called Round this
-// round into their neighbors' inboxes, accounting costs as it goes.
-// Messages addressed to a vertex that has already halted are dropped (but
-// still accounted: the sender did transmit them). The previous round's
-// inbox slots are cleared through the written list, so a round costs
-// O(messages), not O(m), and steady-state rounds allocate nothing.
+// deliver is the single-shard delivery: it moves the staged outboxes of the
+// vertices that called Round this round into their neighbors' inboxes,
+// accounting costs as it goes. Messages addressed to a vertex that has
+// already halted are dropped (but still accounted: the sender did transmit
+// them). The previous round's inbox slots are cleared through the written
+// list, so a round costs O(messages), not O(m), and steady-state rounds
+// allocate nothing.
 func (s *sched[T]) deliver(arrived []*proc[T]) {
 	stats := &s.res.Stats
 	wl := s.written[0]

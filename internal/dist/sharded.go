@@ -6,34 +6,37 @@ import (
 	"sync"
 )
 
-// The Sharded engine partitions the vertex set into contiguous index ranges
-// (GOMAXPROCS of them by default, override with WithShards) and gives each
-// shard one logical worker:
+// Every scheduled engine (Goroutines, Lockstep, Sharded) runs on one
+// scheduler: the vertex set is partitioned into contiguous index ranges
+// (GOMAXPROCS of them by default, override with WithShards, at most
+// MaxShards; Lockstep always uses exactly one) and each shard gets one
+// logical worker:
 //
 //   - Release is a token chain. The scheduler links the round's active
 //     vertices of each shard into a list in index order and hands the first
 //     one a token; every vertex runs until it yields at Round, halts, or
 //     panics, then passes the token directly to its successor (the last one
 //     wakes the scheduler). Within a shard execution is sequential in index
-//     order — Lockstep semantics — while shards run concurrently; a vertex
-//     handoff costs one goroutine switch and no event-queue traffic.
-//   - Accounting is sender-side. A yielding vertex tallies its own staged
-//     outbox into its shard's Stats while it still holds the token, so the
-//     tally is race-free and the accounted multiset of messages is exactly
-//     the one deliver accounts for the other engines (dropped messages
-//     included). Shard tallies are merged into Result.Stats in shard index
-//     order at every round barrier.
-//   - Delivery is destination-sharded and pull-based. Each shard's worker
-//     walks its own vertices and gathers, for every port, the message the
-//     neighbor staged on the reverse port (graph.ReversePorts). Only the
+//     order, while shards run concurrently; a vertex handoff costs one
+//     goroutine switch.
+//   - With one shard, delivery is the scatter pass of run.go: the scheduler
+//     walks the yielded vertices in index order, tallies each staged
+//     message into Result.Stats, and writes it into its destination inbox.
+//   - With several shards, accounting is sender-side. A yielding vertex
+//     tallies its own staged outbox into its shard's Stats while it still
+//     holds the token, so the tally is race-free and the accounted multiset
+//     of messages is exactly the one the scatter pass accounts (dropped
+//     messages included). Shard tallies are merged into Result.Stats in
+//     shard index order at every round barrier.
+//   - Multi-shard delivery is destination-sharded. Each yielding vertex bins
+//     its messages into the queue of the destination's shard; each shard's
+//     worker then drains the queues addressed to its own vertices. Only the
 //     owning shard writes a vertex's inbox, so delivery parallelizes with
-//     no locks, and each inbox is written exactly once per round — the
-//     clear and the fill are one pass.
+//     no locks.
 //
 // Both phases are separated by barriers, so for a fixed graph, algorithm and
-// seed the engine produces byte-identical Outputs and Stats to Goroutines
-// and Lockstep regardless of the shard count (TestEnginesAgree,
-// TestEngineFamilyProperty).
+// seed every engine and every shard count produces byte-identical Outputs
+// and Stats (TestEnginesAgree, TestEngineFamilyProperty).
 type shard[T any] struct {
 	index  int           // position in sched.shards
 	lo, hi int           // vertex index range [lo, hi)
@@ -43,12 +46,12 @@ type shard[T any] struct {
 	first  *proc[T]      // head of the current round's token chain
 }
 
-// releaseSharded runs one round's release phase: chain the active vertices
-// of every shard, start all chains, wait for all of them to finish, then
-// surface any panic in shard index order. The per-shard message tallies are
+// release runs one round's release phase: chain the active vertices of
+// every shard, start all chains, wait for all of them to finish, then
+// surface any panic in shard index order. Multi-shard message tallies are
 // merged later, by deliverSharded, so the Stats a round-cap error reports
-// exclude the capped round exactly as they do under the other engines.
-func (s *sched[T]) releaseSharded(active []*proc[T]) error {
+// exclude the capped round exactly as the single-shard scatter pass does.
+func (s *sched[T]) release(active []*proc[T]) error {
 	for i := range s.shards {
 		s.shards[i].first = nil
 	}
@@ -77,32 +80,23 @@ func (s *sched[T]) releaseSharded(active []*proc[T]) error {
 	return nil
 }
 
-// mergeShardStats folds the per-shard sender-side tallies of the round into
-// Result.Stats, in shard index order, and resets them.
-func (s *sched[T]) mergeShardStats() {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		s.res.Stats.Bytes += sh.stats.Bytes
-		if sh.stats.MaxMessageBytes > s.res.Stats.MaxMessageBytes {
-			s.res.Stats.MaxMessageBytes = sh.stats.MaxMessageBytes
-		}
-		sh.stats = Stats{}
-	}
-}
-
-// yieldSharded is the Sharded counterpart of park for a vertex yielding at
-// Round: tally the staged outbox into the shard's round stats and bin each
-// message into the queue of its destination's shard — both in one pass over
-// the outbox, while it is cache-hot and the vertex holds the token — then
-// pass the token and block until the next release token (which is
-// lifeline.kill's if the run aborted in the meantime).
-func (p *proc[T]) yieldSharded(out [][]byte) {
+// yield parks a vertex at Round with its outbox staged. With one shard the
+// outbox goes to the dense array the scatter delivery reads. With several
+// it tallies the outbox into the shard's round stats and bins each message
+// into the queue of its destination's shard — both in one pass, while the
+// outbox is cache-hot and the vertex holds the token — and keeps no
+// reference to the slice. Then it passes the token and blocks until the
+// next release token. If that token is
+// lifeline.kill's (the run aborted in the meantime), the goroutine unwinds
+// via runtime.Goexit, running user defers; the exiting guard keeps defers
+// that call Round during the unwind from touching the token chain again.
+func (p *proc[T]) yield(out [][]byte) {
 	if p.exiting {
 		runtime.Goexit()
 	}
-	if s := p.s; out != nil && s.queues != nil {
-		// Multi-shard run: tally and bin in one cache-hot pass. (With a
-		// single shard both jobs belong to the scatter delivery instead.)
+	if s := p.s; s.queues == nil {
+		s.outbox[p.idx] = out
+	} else if out != nil {
 		st := &p.shard.stats
 		src := s.queues[p.shard.index]
 		nbrs := s.g.Neighbors(p.idx)
@@ -129,11 +123,11 @@ func (p *proc[T]) yieldSharded(out [][]byte) {
 	}
 }
 
-// failSharded records a vertex panic against its shard (first in chain order
+// fail records a vertex panic against its shard (first in chain order
 // wins) and passes the token so the rest of the chain still completes the
 // round; the scheduler turns the recorded error into an abort at the next
 // round barrier.
-func (p *proc[T]) failSharded(panicked any) {
+func (p *proc[T]) fail(panicked any) {
 	if p.shard.err == nil {
 		p.shard.err = fmt.Errorf("dist: vertex id %d panicked: %v", p.id, panicked)
 	}
@@ -153,16 +147,18 @@ func (p *proc[T]) passToken() {
 	}
 }
 
-// deliverSharded runs one round's delivery phase: every shard drains the
-// message queues addressed to its own vertices, in parallel when there are
-// multiple shards. Release-phase enqueues are published to all drain
-// workers by the chain-completion barrier, and drain writes are published
-// back by the WaitGroup, so the phase is race-free by construction.
+// deliverSharded runs one multi-shard round's delivery phase. It folds the
+// per-shard sender-side tallies into Result.Stats in shard index order, then
+// every shard drains the message queues addressed to its own vertices, in
+// parallel. Release-phase enqueues are published to all drain workers by
+// the chain-completion barrier, and drain writes are published back by the
+// WaitGroup, so the phase is race-free by construction.
 func (s *sched[T]) deliverSharded() {
-	s.mergeShardStats()
-	if len(s.shards) == 1 {
-		s.drainShard(0)
-		return
+	for i := range s.shards {
+		sh := &s.shards[i]
+		s.res.Stats.Bytes += sh.stats.Bytes
+		s.res.Stats.MaxMessageBytes = max(s.res.Stats.MaxMessageBytes, sh.stats.MaxMessageBytes)
+		sh.stats = Stats{}
 	}
 	var wg sync.WaitGroup
 	for j := 1; j < len(s.shards); j++ {

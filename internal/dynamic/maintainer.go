@@ -16,7 +16,8 @@ import (
 type Config struct {
 	// Engine is the dist scheduler repair runs execute on.
 	Engine dist.Engine
-	// Shards pins the shard count of Sharded runs (0 = GOMAXPROCS).
+	// Shards pins the shard count of Goroutines and Sharded runs
+	// (0 = GOMAXPROCS, at most dist.MaxShards).
 	Shards int
 	// Runners caps each pooled runner set (<= 0 means 2). Repair subgraphs
 	// recur under churn — hotspot streams especially — so runners are pooled

@@ -53,8 +53,9 @@ type Request struct {
 	// "goroutines", "lockstep", "sharded", or "compiled". Not part of the
 	// cache key — every engine produces byte-identical results.
 	Engine string `json:"engine,omitempty"`
-	// Shards optionally pins the shard count of a sharded run. Not part of
-	// the cache key.
+	// Shards optionally pins the shard count of a "goroutines" or
+	// "sharded" run; the runtime clamps it to the vertex count and to
+	// dist.MaxShards (64). Not part of the cache key.
 	Shards int `json:"shards,omitempty"`
 }
 
