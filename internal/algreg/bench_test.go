@@ -1,0 +1,89 @@
+package algreg_test
+
+import (
+	"testing"
+
+	"repro/internal/algreg"
+	"repro/internal/dist"
+	"repro/internal/exp"
+)
+
+// smallMixGraphs names each servable algorithm's graph in loadgen's small
+// mix (fewcolors takes the fewcolors mix's gnm(64,192)).
+var smallMixGraphs = map[string]exp.GraphSpec{
+	"edge/be":        {Family: "gnm", N: 64, M: 192, Seed: 1},
+	"edge/pr":        {Family: "regular", N: 48, Deg: 4, Seed: 2},
+	"edge/greedy":    {Family: "tree", N: 64, Seed: 3},
+	"edge/fewcolors": {Family: "gnm", N: 64, M: 192, Seed: 1},
+	"vertex/be":      {Family: "powercycle", N: 40, Deg: 3},
+	"vertex/greedy":  {Family: "cycle", N: 64},
+}
+
+// BenchmarkServedAlgos runs every servable algorithm on its small-mix graph
+// the way the service does — through a reused dist.Pool, with the service's
+// default parameters — under the Compiled engine and under Lockstep (the
+// scheduler on a reused Runner). Together with the allocs column, the
+// compiled/lockstep pairs decide whether the interpreter a bundle built by
+// dist.Interpret runs under Compiled earns its place.
+func BenchmarkServedAlgos(b *testing.B) {
+	for _, a := range algreg.Servable() {
+		name := a.Kind + "/" + a.Name
+		spec, ok := smallMixGraphs[name]
+		if !ok {
+			b.Fatalf("%s: no small-mix graph", name)
+		}
+		g, err := spec.Build()
+		if err != nil {
+			b.Fatal(err)
+		}
+		p := algreg.Params{B: 2, C: 2, Mode: "wide"}
+		if a.Kind == "edge" {
+			p.C = 0
+		}
+		if err := a.Canon(&p); err != nil {
+			b.Fatal(err)
+		}
+		var run func(dist.Engine) (dist.Stats, error)
+		if a.Kind == "edge" {
+			algo, _, err := a.BuildEdge(g, p)
+			if err != nil {
+				b.Fatal(err)
+			}
+			pool := dist.NewPool[[]int](g, 1)
+			defer pool.Close()
+			run = func(e dist.Engine) (dist.Stats, error) {
+				res, err := pool.RunAlgo(algo, dist.WithEngine(e))
+				if err != nil {
+					return dist.Stats{}, err
+				}
+				return res.Stats, nil
+			}
+		} else {
+			algo, _, err := a.BuildVertex(g, p)
+			if err != nil {
+				b.Fatal(err)
+			}
+			pool := dist.NewPool[int](g, 1)
+			defer pool.Close()
+			run = func(e dist.Engine) (dist.Stats, error) {
+				res, err := pool.RunAlgo(algo, dist.WithEngine(e))
+				if err != nil {
+					return dist.Stats{}, err
+				}
+				return res.Stats, nil
+			}
+		}
+		for _, e := range []dist.Engine{dist.Compiled, dist.Lockstep} {
+			b.Run(name+"/"+e.String(), func(b *testing.B) {
+				b.ReportAllocs()
+				var st dist.Stats
+				for i := 0; i < b.N; i++ {
+					if st, err = run(e); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(st.Rounds), "rounds")
+			})
+		}
+	}
+}

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/graph"
+	"repro/internal/testutil"
 )
 
 func TestGreedyVertexColoring(t *testing.T) {
@@ -61,6 +62,13 @@ func TestGreedyEdgeColoring(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestGreedyEdgeMessagesDeterministic: the per-vertex greedy edge form's
+// status reports list used colors in ascending order, so repeated runs send
+// byte-identical messages.
+func TestGreedyEdgeMessagesDeterministic(t *testing.T) {
+	testutil.CheckTranscriptsStable(t, graph.GNM(64, 192, 1), 3, GreedyEdgeProcess)
 }
 
 func TestGreedyEdgeColoringProperty(t *testing.T) {

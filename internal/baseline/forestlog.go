@@ -83,7 +83,7 @@ func hPartition(v dist.Process, theta, maxLevels int) int {
 			if !active[p] || in[p] == nil {
 				continue
 			}
-			if _, err := wire.DecodeInts(in[p], 1); err != nil {
+			if _, err := wire.DecodeInt(in[p]); err != nil {
 				panic("baseline: bad level message: " + err.Error())
 			}
 			active[p] = false
@@ -108,11 +108,11 @@ func sameLevelMask(v dist.Process, level int) []bool {
 		if in[p] == nil {
 			continue
 		}
-		vals, err := wire.DecodeInts(in[p], 1)
+		val, err := wire.DecodeInt(in[p])
 		if err != nil {
 			panic("baseline: bad level message: " + err.Error())
 		}
-		same[p] = vals[0] == level
+		same[p] = val == level
 	}
 	return same
 }
@@ -130,11 +130,11 @@ func maskedInts(v dist.Process, mask []bool, own int) []int {
 	var nbrs []int
 	for p := 0; p < deg; p++ {
 		if mask[p] && in[p] != nil {
-			vals, err := wire.DecodeInts(in[p], 1)
+			val, err := wire.DecodeInt(in[p])
 			if err != nil {
 				panic("baseline: bad color message: " + err.Error())
 			}
-			nbrs = append(nbrs, vals[0])
+			nbrs = append(nbrs, val)
 		}
 	}
 	return nbrs
@@ -195,11 +195,11 @@ func ArbColoring(g *graph.Graph, theta int, opts ...dist.Option) (*dist.Result[i
 				in := v.Round(out)
 				for p := 0; p < v.Deg(); p++ {
 					if in[p] != nil {
-						vals, err := wire.DecodeInts(in[p], 1)
+						val, err := wire.DecodeInt(in[p])
 						if err != nil {
 							panic("baseline: bad color message: " + err.Error())
 						}
-						nbrColor[p] = vals[0]
+						nbrColor[p] = val
 					}
 				}
 			}
@@ -235,11 +235,11 @@ func exchangeOnce(v dist.Process, x int) []int {
 		if in[p] == nil {
 			continue
 		}
-		vals, err := wire.DecodeInts(in[p], 1)
+		val, err := wire.DecodeInt(in[p])
 		if err != nil {
 			panic("baseline: bad message: " + err.Error())
 		}
-		out[p] = vals[0]
+		out[p] = val
 	}
 	return out
 }

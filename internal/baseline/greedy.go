@@ -13,6 +13,8 @@
 package baseline
 
 import (
+	"slices"
+
 	"repro/internal/dist"
 	"repro/internal/graph"
 	"repro/internal/wire"
@@ -51,11 +53,11 @@ func GreedyVertexProcess(v dist.Process) int {
 			if in[p] == nil || v.NeighborID(p) > v.ID() {
 				continue
 			}
-			vals, err := wire.DecodeInts(in[p], 1)
+			val, err := wire.DecodeInt(in[p])
 			if err != nil {
 				panic("baseline: bad color message: " + err.Error())
 			}
-			used[vals[0]] = true
+			used[val] = true
 			waiting--
 		}
 	}
@@ -152,12 +154,12 @@ func greedyEdgeVertex(v dist.Process) []int {
 					remaining--
 				}
 			} else {
-				vals, err := wire.DecodeInts(in[p], 1)
+				val, err := wire.DecodeInt(in[p])
 				if err != nil {
 					panic("baseline: bad announcement: " + err.Error())
 				}
-				colors[p] = vals[0]
-				myUsed[vals[0]] = true
+				colors[p] = val
+				myUsed[val] = true
 				remaining--
 			}
 		}
@@ -174,11 +176,14 @@ func anyPending(pending []int) bool {
 	return false
 }
 
+// usedSlice lists s in ascending order, so a status report's bytes do not
+// depend on map iteration order.
 func usedSlice(s map[int]bool) []int {
 	out := make([]int, 0, len(s))
 	for c := range s {
 		out = append(out, c)
 	}
+	slices.Sort(out)
 	return out
 }
 

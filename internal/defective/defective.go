@@ -163,11 +163,11 @@ func EdgeColoringStep(v dist.Process, pPrime int) []int {
 	in := v.Round(out)
 	colors := make([]int, deg)
 	for port := 0; port < deg; port++ {
-		vals, err := wire.DecodeInts(in[port], 1)
+		val, err := wire.DecodeInt(in[port])
 		if err != nil {
 			panic("defective: bad label message: " + err.Error())
 		}
-		theirLabel := vals[0]
+		theirLabel := val
 		a, b := myLabel[port], theirLabel
 		if v.NeighborID(port) < v.ID() {
 			a, b = b, a

@@ -13,7 +13,7 @@ package forest
 
 import (
 	"math/bits"
-	"sort"
+	"slices"
 
 	"repro/internal/dist"
 	"repro/internal/wire"
@@ -26,25 +26,30 @@ const NoForest = 0
 // it belongs to. Forests carry global integer ids (agreed by both endpoints
 // of every edge); a vertex's parent in forest f is reached through its
 // unique out-port labeled f, and its children are the in-ports labeled f.
+// Per-forest state is indexed by slot, the forest's position in Forests.
 type Membership struct {
-	Forests    []int // sorted global ids of forests present at this vertex
-	PortLabel  []int // per port: forest id, or NoForest
-	parentPort map[int]int
+	Forests   []int // sorted global ids of forests present at this vertex
+	PortLabel []int // per port: forest id, or NoForest
+	parent    []int // per slot: port to the parent, or -1 at a root
+	slot      []int // per port: slot of its forest, or -1
+}
+
+// Slot returns the index of forest fid in Forests, or -1 if the vertex has
+// no edge in that forest.
+func (m *Membership) Slot(fid int) int {
+	if i, ok := slices.BinarySearch(m.Forests, fid); ok {
+		return i
+	}
+	return -1
 }
 
 // ParentPortOf returns the port leading to this vertex's parent in forest
 // fid, or -1 if the vertex is a root of (or absent from) that forest.
 func (m *Membership) ParentPortOf(fid int) int {
-	if p, ok := m.parentPort[fid]; ok {
-		return p
+	if s := m.Slot(fid); s >= 0 {
+		return m.parent[s]
 	}
 	return -1
-}
-
-// InForest reports whether the vertex has any edge in forest fid.
-func (m *Membership) InForest(fid int) bool {
-	i := sort.SearchInts(m.Forests, fid)
-	return i < len(m.Forests) && m.Forests[i] == fid
 }
 
 // AssignLabels runs the one-round forest decomposition: every vertex labels
@@ -77,26 +82,40 @@ func AssignLabels(v dist.Process, active []bool, degBound int) Membership {
 // agree on its class, so they agree on its forest id.
 func AssignLabelsClasses(v dist.Process, classOf []int, degBound int) Membership {
 	deg := v.Deg()
-	m := Membership{
-		PortLabel:  make([]int, deg),
-		parentPort: make(map[int]int, deg),
-	}
-	out := make([][]byte, deg)
-	nextInClass := make(map[int]int, 4)
+	m := Membership{PortLabel: make([]int, deg), slot: make([]int, deg)}
+	// Out-edges take the next free label of their class; counts holds one
+	// (class, labels used) pair per class seen so far.
+	type count struct{ class, n int }
+	var counts []count
+	size := 0
 	for port := 0; port < deg; port++ {
 		c := classOf[port]
-		if c == 0 {
+		if c == 0 || v.NeighborID(port) > v.ID() {
 			continue
 		}
-		if v.NeighborID(port) < v.ID() { // out-edge: neighbor is the parent
-			nextInClass[c]++
-			if nextInClass[c] > degBound {
-				panic("forest: class out-degree exceeds degBound")
-			}
-			fid := (c-1)*degBound + nextInClass[c]
-			m.PortLabel[port] = fid
-			m.parentPort[fid] = port
-			out[port] = wire.EncodeInts(fid)
+		// Out-edge: the neighbor is the parent.
+		i := 0
+		for i < len(counts) && counts[i].class != c {
+			i++
+		}
+		if i == len(counts) {
+			counts = append(counts, count{class: c})
+		}
+		counts[i].n++
+		if counts[i].n > degBound {
+			panic("forest: class out-degree exceeds degBound")
+		}
+		m.PortLabel[port] = (c-1)*degBound + counts[i].n
+		size += wire.IntLen(m.PortLabel[port])
+	}
+	out := make([][]byte, deg)
+	var w wire.Writer
+	w.Grow(size)
+	for port, fid := range m.PortLabel {
+		if fid != NoForest {
+			start := w.Len()
+			w.Int(fid)
+			out[port] = w.Bytes()[start:w.Len():w.Len()]
 		}
 	}
 	in := v.Round(out)
@@ -105,21 +124,35 @@ func AssignLabelsClasses(v dist.Process, classOf []int, degBound int) Membership
 			continue
 		}
 		if v.NeighborID(port) > v.ID() { // in-edge: the child told us its label
-			vals, err := wire.DecodeInts(in[port], 1)
+			fid, err := wire.DecodeInt(in[port])
 			if err != nil {
 				panic("forest: bad label message: " + err.Error())
 			}
-			m.PortLabel[port] = vals[0]
+			m.PortLabel[port] = fid
 		}
 	}
-	seen := make(map[int]bool, deg)
+	m.Forests = make([]int, 0, deg)
 	for _, fid := range m.PortLabel {
-		if fid != NoForest && !seen[fid] {
-			seen[fid] = true
+		if fid != NoForest {
 			m.Forests = append(m.Forests, fid)
 		}
 	}
-	sort.Ints(m.Forests)
+	slices.Sort(m.Forests)
+	m.Forests = slices.Compact(m.Forests)
+	m.parent = make([]int, len(m.Forests))
+	for s := range m.parent {
+		m.parent[s] = -1
+	}
+	for port, fid := range m.PortLabel {
+		m.slot[port] = -1
+		if fid == NoForest {
+			continue
+		}
+		m.slot[port] = m.Slot(fid)
+		if v.NeighborID(port) < v.ID() {
+			m.parent[m.slot[port]] = port
+		}
+	}
 	return m
 }
 
@@ -158,62 +191,66 @@ const ShiftDownIterations = 3
 func TotalRounds(n int) int { return CVRounds(n) + 2*ShiftDownIterations }
 
 // ThreeColor 3-colors the vertices of every forest simultaneously: the
-// returned map holds, per forest id present at this vertex, its color in
-// {1,2,3}. Costs exactly TotalRounds(v.N()) rounds for every vertex
-// (lockstep), independent of the forests' shapes and count.
-func ThreeColor(v dist.Process, m Membership) map[int]int {
-	colors := make(map[int]int, len(m.Forests)) // 0-based during reduction
-	for _, fid := range m.Forests {
-		colors[fid] = v.ID() - 1
+// returned slice holds, per forest slot of m (see Membership.Slot), this
+// vertex's color in that forest, in {1,2,3}. Costs exactly
+// TotalRounds(v.N()) rounds for every vertex (lockstep), independent of the
+// forests' shapes and count.
+func ThreeColor(v dist.Process, m Membership) []int {
+	colors := make([]int, len(m.Forests)) // 0-based during reduction
+	for s := range colors {
+		colors[s] = v.ID() - 1
 	}
+	out := make([][]byte, v.Deg())
+	all := make([]int, v.Deg())
 	// Phase 1: bit reduction. Every vertex sends, on every forest port, its
 	// current color in that forest; children combine with the parent color.
 	for r := 0; r < CVRounds(v.N()); r++ {
-		all := exchangeAllColors(v, m, colors)
-		for _, fid := range m.Forests {
-			if p := m.ParentPortOf(fid); p >= 0 {
-				colors[fid] = cvStep(colors[fid], all[p])
+		exchangeAllColors(v, &m, colors, out, all)
+		for s, p := range m.parent {
+			if p >= 0 {
+				colors[s] = cvStep(colors[s], all[p])
 			} else {
-				colors[fid] = colors[fid] & 1 // root: (index 0, own bit 0)
+				colors[s] = colors[s] & 1 // root: (index 0, own bit 0)
 			}
 		}
 	}
 	// Normalize to 1..6.
-	for _, fid := range m.Forests {
-		colors[fid]++
+	for s := range colors {
+		colors[s]++
 	}
 	// Phase 2: three (shift-down, recolor) iterations remove colors 6, 5, 4.
+	used := make([]uint8, len(colors)) // per slot: bit c set = color c taken
 	for x := 6; x >= 4; x-- {
 		// Shift-down: every non-root adopts its parent's color; roots pick a
 		// color in {1,2} different from their own, keeping siblings
 		// monochromatic and the coloring proper.
-		all := exchangeAllColors(v, m, colors)
-		for _, fid := range m.Forests {
-			if p := m.ParentPortOf(fid); p >= 0 {
-				colors[fid] = all[p]
-			} else if colors[fid] == 1 {
-				colors[fid] = 2
+		exchangeAllColors(v, &m, colors, out, all)
+		for s, p := range m.parent {
+			if p >= 0 {
+				colors[s] = all[p]
+			} else if colors[s] == 1 {
+				colors[s] = 2
 			} else {
-				colors[fid] = 1
+				colors[s] = 1
 			}
 		}
 		// Recolor class x: its members form an independent set in each
 		// forest; each picks the smallest color in {1,2,3} unused by its
 		// parent and (shared) child color.
-		all = exchangeAllColors(v, m, colors)
-		for _, fid := range m.Forests {
-			if colors[fid] != x {
+		exchangeAllColors(v, &m, colors, out, all)
+		clear(used)
+		for port, s := range m.slot {
+			if s >= 0 && all[port] >= 1 && all[port] <= 3 {
+				used[s] |= 1 << all[port]
+			}
+		}
+		for s := range colors {
+			if colors[s] != x {
 				continue
 			}
-			used := [4]bool{}
-			for port, lab := range m.PortLabel {
-				if lab == fid && all[port] >= 1 && all[port] <= 3 {
-					used[all[port]] = true
-				}
-			}
 			for c := 1; c <= 3; c++ {
-				if !used[c] {
-					colors[fid] = c
+				if used[s]&(1<<c) == 0 {
+					colors[s] = c
 					break
 				}
 			}
@@ -231,27 +268,35 @@ func cvStep(own, parent int) int {
 }
 
 // exchangeAllColors sends, on every forest port, this vertex's color in that
-// port's forest, and returns the neighbor's color per port (-1 where absent).
-func exchangeAllColors(v dist.Process, m Membership, colors map[int]int) []int {
-	deg := v.Deg()
-	out := make([][]byte, deg)
-	for port, fid := range m.PortLabel {
-		if fid != NoForest {
-			out[port] = wire.EncodeInts(colors[fid])
+// port's forest, and stores the neighbor's color per port in res (-1 where
+// absent). The out headers are reused across rounds; each round's messages
+// live in one fresh arena, since delivered bytes are never reused.
+func exchangeAllColors(v dist.Process, m *Membership, colors []int, out [][]byte, res []int) {
+	size := 0
+	for _, s := range m.slot {
+		if s >= 0 {
+			size += wire.IntLen(colors[s])
+		}
+	}
+	var w wire.Writer
+	w.Grow(size)
+	for port, s := range m.slot {
+		if s >= 0 {
+			start := w.Len()
+			w.Int(colors[s])
+			out[port] = w.Bytes()[start:w.Len():w.Len()]
 		}
 	}
 	in := v.Round(out)
-	res := make([]int, deg)
-	for port := range res {
+	for port, s := range m.slot {
 		res[port] = -1
-		if m.PortLabel[port] == NoForest || in[port] == nil {
+		if s < 0 || in[port] == nil {
 			continue
 		}
-		vals, err := wire.DecodeInts(in[port], 1)
+		c, err := wire.DecodeInt(in[port])
 		if err != nil {
 			panic("forest: bad color message: " + err.Error())
 		}
-		res[port] = vals[0]
+		res[port] = c
 	}
-	return res
 }

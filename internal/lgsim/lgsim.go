@@ -367,7 +367,9 @@ func (h *host[T]) relay(liveOut map[int][][]byte, results map[int]T) {
 	// Phase A: route each virtual message toward the shared endpoint.
 	phaseA := make([][]bundleEntry, deg) // per physical port
 	var direct []bundleEntry             // shared endpoint is this vertex
-	for vid, out := range liveOut {
+	// Sorted vid order, so bundle contents do not depend on map order.
+	for _, vid := range h.ownedVIDs {
+		out := liveOut[vid]
 		if out == nil {
 			continue
 		}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/dist"
 	"repro/internal/graph"
 	"repro/internal/linial"
+	"repro/internal/testutil"
 	"repro/internal/wire"
 )
 
@@ -43,6 +44,20 @@ func TestSharedEndpoint(t *testing.T) {
 	if _, ok := sharedEndpoint(n, e, g); ok {
 		t.Fatal("disjoint edges reported as sharing an endpoint")
 	}
+}
+
+// TestBundlesDeterministic: physical bundles list their virtual messages in
+// vid order, so repeated simulations send byte-identical physical messages.
+func TestBundlesDeterministic(t *testing.T) {
+	g := graph.GNM(24, 80, 3)
+	deltaL := lineGraphDegree(g)
+	announce := func(v dist.Process) int {
+		v.Broadcast(wire.EncodeInts(v.ID()))
+		return 0
+	}
+	testutil.CheckTranscriptsStable(t, g, 3, func(v dist.Process) []int {
+		return newHost[int](v, g.N(), deltaL, 1, 0, announce).run()
+	})
 }
 
 // TestEchoProtocol runs a 2-virtual-round protocol: every virtual vertex

@@ -50,11 +50,7 @@ func BenchmarkMultiClassOverhead(b *testing.B) {
 func runMultiClass(g *graph.Graph, classes int) (int, error) {
 	degBound := g.MaxDegree()
 	res, err := dist.Run(g, func(v dist.Process) []int {
-		classOf := make([]int, v.Deg())
-		for p := range classOf {
-			classOf[p] = (v.ID()+v.NeighborID(p))%classes + 1
-		}
-		return EdgeColorMulti(v, classOf, degBound)
+		return EdgeColorMulti(v, multiClassRule(v, classes), degBound)
 	})
 	if err != nil {
 		return 0, err

@@ -22,6 +22,9 @@
 package panconesi
 
 import (
+	"fmt"
+	"slices"
+
 	"repro/internal/dist"
 	"repro/internal/forest"
 	"repro/internal/graph"
@@ -60,108 +63,183 @@ func EdgeColorStep(v dist.Process, active []bool, degBound int) []int {
 // have degree ≤ degBound at every vertex.
 func EdgeColorMulti(v dist.Process, classOf []int, degBound int) []int {
 	deg := v.Deg()
-	colors := make([]int, deg)
 	m := forest.AssignLabelsClasses(v, classOf, degBound)
-	fcolors := forest.ThreeColor(v, m)
-
-	// Per-class used-color sets at this vertex; only classes present
-	// locally are materialized.
-	used := make(map[int]map[int]bool, 4)
-	usedOf := func(c int) map[int]bool {
-		if used[c] == nil {
-			used[c] = make(map[int]bool, degBound)
-		}
-		return used[c]
+	st := leaf{
+		v:        v,
+		m:        m,
+		fcolors:  forest.ThreeColor(v, m),
+		degBound: degBound,
+		width:    2 * degBound,
+		colors:   make([]int, deg),
+		out:      make([][]byte, deg),
+		out2:     make([][]byte, deg),
+		classes:  make([]int, 0, deg),
+		colored:  make([]int, 0, deg),
 	}
-	// present enumerates the classes with at least one local port.
-	present := make(map[int]bool, 4)
 	for _, c := range classOf {
 		if c != 0 {
-			present[c] = true
+			st.classes = append(st.classes, c)
 		}
 	}
+	slices.Sort(st.classes)
+	st.classes = slices.Compact(st.classes)
+	st.parent = make([]int, len(st.classes))
+	st.used = make([]bool, len(st.classes)*st.width)
+	st.childUsed = make([]bool, st.width)
 	for l := 1; l <= degBound; l++ {
 		for j := 1; j <= stages; j++ {
-			runStage(v, m, fcolors, classOf, present, l, j, degBound, colors, usedOf)
+			st.stage(l, j)
 		}
 	}
-	return colors
+	return st.colors
 }
 
-// runStage performs one (within-class label ℓ, forest-color j) stage across
+// leaf is one vertex's Panconesi–Rizzi state. Every per-class and per-port
+// table is a slice allocated once per run; only each round's message arena
+// is allocated per round.
+type leaf struct {
+	v               dist.Process
+	m               forest.Membership
+	fcolors         []int  // per forest slot: the forest 3-coloring
+	classes         []int  // sorted classes with at least one local port
+	parent          []int  // per class: port to the parent in the stage's forest, or -1
+	degBound, width int    // width = 2·degBound: palette plus the unused color 0
+	used            []bool // class k's used colors: used[k·width : (k+1)·width]
+	childUsed       []bool // scratch: a child's reported used set
+	colors          []int  // per port: the output coloring
+	out, out2       [][]byte
+	colored         []int // scratch: ports colored in the current stage
+}
+
+// usedOf returns class k's used-color bitmap.
+func (st *leaf) usedOf(k int) []bool { return st.used[k*st.width : (k+1)*st.width] }
+
+// stage performs one (within-class label ℓ, forest-color j) stage across
 // all classes: children report their class-local used sets upward; parents
 // whose color in the (class, ℓ) forest is j greedily color child edges.
-func runStage(v dist.Process, m forest.Membership, fcolors map[int]int, classOf []int, present map[int]bool,
-	l, j, degBound int, colors []int, usedOf func(int) map[int]bool) {
-	deg := v.Deg()
+func (st *leaf) stage(l, j int) {
+	for k, c := range st.classes {
+		st.parent[k] = st.m.ParentPortOf((c-1)*st.degBound + l)
+	}
 	// Round 1: report used sets on uncolored parent edges of label ℓ.
-	out := make([][]byte, deg)
-	for c := range present {
-		fid := (c-1)*degBound + l
-		if p := m.ParentPortOf(fid); p >= 0 && colors[p] == 0 {
-			var w wire.Writer
-			w.Ints(setToSlice(usedOf(c)))
-			out[p] = w.Bytes()
+	clear(st.out)
+	size := 0
+	for k, p := range st.parent {
+		if p >= 0 && st.colors[p] == 0 {
+			size += usedSetLen(st.usedOf(k))
 		}
 	}
-	in := v.Round(out)
-	// Round 2: parents with color j in the (class, ℓ) forest assign colors.
-	out2 := make([][]byte, deg)
-	for c := range present {
-		fid := (c-1)*degBound + l
-		if !m.InForest(fid) || fcolors[fid] != j {
+	var w wire.Writer
+	w.Grow(size)
+	for k, p := range st.parent {
+		if p >= 0 && st.colors[p] == 0 {
+			start := w.Len()
+			appendUsedSet(&w, st.usedOf(k))
+			st.out[p] = w.Bytes()[start:w.Len():w.Len()]
+		}
+	}
+	in := st.v.Round(st.out)
+	// Round 2: parents with color j in the (class, ℓ) forest assign colors,
+	// port by port in ascending order (classes have disjoint used sets, so
+	// this is the per-class order too).
+	st.colored = st.colored[:0]
+	for port, fid := range st.m.PortLabel {
+		if fid == forest.NoForest || in[port] == nil || (fid-1)%st.degBound+1 != l ||
+			st.fcolors[st.m.Slot(fid)] != j {
 			continue
 		}
-		u := usedOf(c)
-		for port := 0; port < deg; port++ {
-			if m.PortLabel[port] != fid || in[port] == nil {
-				continue
-			}
-			r := wire.NewReader(in[port])
-			childUsed := r.Ints()
-			if r.Err() != nil {
-				panic("panconesi: bad used-set message: " + r.Err().Error())
-			}
-			cc := firstFree(u, childUsed)
-			colors[port] = cc
-			u[cc] = true
-			out2[port] = wire.EncodeInts(cc)
-		}
+		k, _ := slices.BinarySearch(st.classes, (fid-1)/st.degBound+1)
+		u := st.usedOf(k)
+		cc := st.firstFree(u, in[port])
+		st.colors[port] = cc
+		u[cc] = true
+		st.colored = append(st.colored, port)
 	}
-	in2 := v.Round(out2)
+	clear(st.out2)
+	size = 0
+	for _, port := range st.colored {
+		size += wire.IntLen(st.colors[port])
+	}
+	w = wire.Writer{}
+	w.Grow(size)
+	for _, port := range st.colored {
+		start := w.Len()
+		w.Int(st.colors[port])
+		st.out2[port] = w.Bytes()[start:w.Len():w.Len()]
+	}
+	in2 := st.v.Round(st.out2)
 	// Record colors our parents picked for our parent edges.
-	for c := range present {
-		fid := (c-1)*degBound + l
-		if p := m.ParentPortOf(fid); p >= 0 && in2[p] != nil {
-			vals, err := wire.DecodeInts(in2[p], 1)
+	for k, p := range st.parent {
+		if p >= 0 && in2[p] != nil {
+			c, err := wire.DecodeInt(in2[p])
 			if err != nil {
 				panic("panconesi: bad color message: " + err.Error())
 			}
-			colors[p] = vals[0]
-			usedOf(c)[vals[0]] = true
+			st.colors[p] = c
+			st.usedOf(k)[st.inPalette(c)] = true
 		}
 	}
 }
 
-// firstFree returns the smallest positive color not in either set.
-func firstFree(used map[int]bool, childUsed []int) int {
-	childSet := make(map[int]bool, len(childUsed))
-	for _, c := range childUsed {
-		childSet[c] = true
+// inPalette returns c if it is a palette color {1..2·degBound−1} and panics
+// otherwise: a color outside the palette means a malformed message or a
+// class whose degree exceeds degBound.
+func (st *leaf) inPalette(c int) int {
+	if c < 1 || c >= st.width {
+		panic(fmt.Sprintf("panconesi: color %d outside the palette {1..%d}", c, st.width-1))
 	}
-	for c := 1; ; c++ {
-		if !used[c] && !childSet[c] {
+	return c
+}
+
+// firstFree returns the smallest color free in both used and the used set
+// encoded in msg (as appendUsedSet writes it).
+func (st *leaf) firstFree(used []bool, msg []byte) int {
+	child := st.childUsed
+	clear(child)
+	r := wire.NewReader(msg)
+	for n := r.Uint(); n > 0 && r.Err() == nil; n-- {
+		if c := r.Int(); r.Err() == nil {
+			child[st.inPalette(c)] = true
+		}
+	}
+	if r.Err() != nil {
+		panic("panconesi: bad used-set message: " + r.Err().Error())
+	}
+	for c := 1; c < st.width; c++ {
+		if !used[c] && !child[c] {
 			return c
 		}
 	}
+	panic(fmt.Sprintf("panconesi: palette {1..%d} exhausted", st.width-1))
 }
 
-func setToSlice(s map[int]bool) []int {
-	out := make([]int, 0, len(s))
-	for c := range s {
-		out = append(out, c)
+// usedSetLen returns the encoded size of appendUsedSet(u).
+func usedSetLen(u []bool) int {
+	n, size := 0, 0
+	for c, in := range u {
+		if in {
+			n++
+			size += wire.IntLen(c)
+		}
 	}
-	return out
+	return wire.UintLen(uint64(n)) + size
+}
+
+// appendUsedSet encodes the colors set in u as a wire Ints message, in
+// ascending order: the contents are a pure function of the set.
+func appendUsedSet(w *wire.Writer, u []bool) {
+	n := 0
+	for _, in := range u {
+		if in {
+			n++
+		}
+	}
+	w.Uint(uint64(n))
+	for c, in := range u {
+		if in {
+			w.Int(c)
+		}
+	}
 }
 
 // EdgeColoring runs the full Panconesi–Rizzi algorithm on g and returns the

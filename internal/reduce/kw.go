@@ -60,11 +60,11 @@ func KWReduceColors(v dist.Process, myColor, k, target int, active []bool) int {
 				if in[p] == nil {
 					continue
 				}
-				vals, err := wire.DecodeInts(in[p], 1)
+				val, err := wire.DecodeInt(in[p])
 				if err != nil {
 					panic("reduce: bad color message: " + err.Error())
 				}
-				nbr[p] = vals[0]
+				nbr[p] = val
 			}
 			if upper && myPos == j {
 				myColor = kwFree(nbr, active, pairLow, target)

@@ -41,11 +41,11 @@ func ReduceColors(v dist.Process, myColor, k, target int, active []bool) int {
 			if in[p] == nil {
 				continue
 			}
-			vals, err := wire.DecodeInts(in[p], 1)
+			val, err := wire.DecodeInt(in[p])
 			if err != nil {
 				panic("reduce: bad color message: " + err.Error())
 			}
-			nbr[p] = vals[0]
+			nbr[p] = val
 		}
 		if myColor == c {
 			myColor = smallestFree(nbr, active, target)
@@ -100,11 +100,11 @@ func ColorByOrientation(v dist.Process, isOut []bool, d int) int {
 		in := v.Round(nil)
 		for p := 0; p < deg; p++ {
 			if isOut[p] && outColors[p] == 0 && in[p] != nil {
-				vals, err := wire.DecodeInts(in[p], 1)
+				val, err := wire.DecodeInt(in[p])
 				if err != nil {
 					panic("reduce: bad color message: " + err.Error())
 				}
-				outColors[p] = vals[0]
+				outColors[p] = val
 				have++
 			}
 		}

@@ -1,6 +1,7 @@
 // Package testutil holds the helpers behind the end-to-end CLI golden
-// tests: stdout capture for in-process main-wrapper invocations, and golden
-// file comparison with an -update flag.
+// tests — stdout capture for in-process main-wrapper invocations, and golden
+// file comparison with an -update flag — and the message transcripts the
+// algorithm determinism tests compare.
 package testutil
 
 import (

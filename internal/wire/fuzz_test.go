@@ -45,7 +45,8 @@ func FuzzRoundTrip(f *testing.F) {
 }
 
 // FuzzReader feeds arbitrary bytes to every Reader accessor: decoding hostile
-// input must never panic or over-read, only latch ErrTruncated.
+// input must never panic or over-read, only latch ErrTruncated. DecodeInt
+// must agree with DecodeInts(msg, 1) on every input, error included.
 func FuzzReader(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x80})                         // truncated varint
@@ -63,6 +64,17 @@ func FuzzReader(f *testing.F) {
 			if r.Remaining() < 0 {
 				t.Fatal("reader over-read the buffer")
 			}
+		}
+		x, err := DecodeInt(msg)
+		xs, errs := DecodeInts(msg, 1)
+		if err != errs {
+			t.Fatalf("DecodeInt error %v, DecodeInts error %v", err, errs)
+		}
+		if err == nil && x != xs[0] {
+			t.Fatalf("DecodeInt = %d, DecodeInts = %d", x, xs[0])
+		}
+		if err != nil && x != 0 {
+			t.Fatalf("DecodeInt = %d on error", x)
 		}
 		// A clean full decode must account for every byte it consumed.
 		r := NewReader(msg)

@@ -60,8 +60,19 @@ func (w *Writer) String(s string) *Writer {
 	return w
 }
 
-// Bytes returns the encoded message. The Writer must not be reused after
-// the returned slice escapes to the simulator.
+// Grow reserves room for n more bytes, so the next n bytes of appends do not
+// reallocate. A round that encodes all its messages into one Writer sizes it
+// once with the *Len functions and pays a single allocation for all of them.
+func (w *Writer) Grow(n int) {
+	if n > cap(w.buf)-len(w.buf) {
+		w.buf = append(make([]byte, 0, len(w.buf)+n), w.buf...)
+	}
+}
+
+// Bytes returns the encoded bytes. Later appends never modify bytes already
+// returned, so one Writer can encode several messages back to back: cut
+// each out with a full slice expression, Bytes()[start:end:end], so that
+// nothing appended to a message can reach its neighbor.
 func (w *Writer) Bytes() []byte { return w.buf }
 
 // Len returns the current encoded size in bytes.
@@ -188,6 +199,17 @@ func EncodeInts(xs ...int) []byte {
 		w.Int(x)
 	}
 	return w.Bytes()
+}
+
+// DecodeInt decodes one signed value from msg without allocating. It has
+// exactly the semantics of DecodeInts(msg, 1): bytes after the value are
+// ignored, and an empty, truncated or overflowing value is ErrTruncated.
+func DecodeInt(msg []byte) (int, error) {
+	x, n := binary.Varint(msg)
+	if n <= 0 {
+		return 0, ErrTruncated
+	}
+	return int(x), nil
 }
 
 // DecodeInts decodes exactly n signed values from msg.

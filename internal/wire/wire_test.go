@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 )
@@ -80,6 +81,24 @@ func TestEncodeDecodeInts(t *testing.T) {
 	}
 	if _, err := DecodeInts(b, 5); err == nil {
 		t.Fatal("over-read should fail")
+	}
+}
+
+func TestDecodeInt(t *testing.T) {
+	for _, x := range []int{0, 1, -1, 63, -64, 1 << 40, -1 << 62} {
+		b := EncodeInts(x, 5) // trailing values are ignored, as DecodeInts(b, 1) does
+		got, err := DecodeInt(b)
+		if err != nil || got != x {
+			t.Fatalf("DecodeInt(%x) = %d, %v; want %d", b, got, err, x)
+		}
+	}
+	for _, bad := range [][]byte{nil, {}, {0x80}, bytes.Repeat([]byte{0xff}, 11)} {
+		if got, err := DecodeInt(bad); err != ErrTruncated || got != 0 {
+			t.Fatalf("DecodeInt(%x) = %d, %v; want 0, ErrTruncated", bad, got, err)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { _, _ = DecodeInt([]byte{0x0e}) }); n != 0 {
+		t.Fatalf("DecodeInt allocates %.0f times", n)
 	}
 }
 
