@@ -29,7 +29,11 @@
 //
 //	go run ./cmd/benchcmp -committed BENCH_service.json -current new.json
 //	go run ./cmd/benchcmp -kind runtime -committed BENCH_runtime.json -current new.json
-//	go run ./cmd/benchcmp -factor 3 -warn ...   # report, never fail (CI)
+//	go run ./cmd/benchcmp -factor 3 -warn ...   # report noise-prone gates only (CI)
+//
+// -warn downgrades the wall-clock and allocation gates to a report, for
+// runners too noisy to block on. It never downgrades an exact gate: a
+// drifted rounds/msgBytes/colors/colors-used value fails the run either way.
 //
 // scripts/bench_check.sh and scripts/bench_runtime_check.sh wire this behind
 // quick benchmark passes.
@@ -70,7 +74,7 @@ func run(args []string) error {
 		committed = fs.String("committed", "", "baseline benchjson document (default BENCH_<kind>.json)")
 		current   = fs.String("current", "", "fresh benchjson document to gate")
 		factor    = fs.Float64("factor", 3, "allowed regression factor on gated metrics")
-		warn      = fs.Bool("warn", false, "report regressions without failing (CI smoke)")
+		warn      = fs.Bool("warn", false, "report wall-clock and allocation regressions without failing (CI smoke); exact-metric drift still fails")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -119,7 +123,7 @@ func run(args []string) error {
 		cur[r.Name] = r
 	}
 
-	regressions := 0
+	regressions, drifts := 0, 0
 	for _, b := range base.Results {
 		c, ok := cur[b.Name]
 		if !ok {
@@ -135,7 +139,7 @@ func run(args []string) error {
 			}
 			if gate.exact {
 				if now != was {
-					regressions++
+					drifts++
 					fmt.Printf("REGRESSION %s %s: %v -> %v (deterministic metric drifted)\n",
 						b.Name, gate.metric, was, now)
 				}
@@ -158,6 +162,9 @@ func run(args []string) error {
 			fmt.Printf("%s %s %s: %.0f -> %.0f (%.2fx, allowed %.gx)\n",
 				tag, b.Name, gate.metric, was, now, ratio, *factor)
 		}
+	}
+	if drifts > 0 {
+		return fmt.Errorf("%d deterministic metric(s) drifted against %s", drifts, *committed)
 	}
 	if regressions > 0 {
 		if *warn {

@@ -8,7 +8,7 @@
 // Defective-Color, Procedure Legal-Color, their §5 edge-coloring variants
 // for general graphs, and the §6 extensions — together with every substrate
 // they depend on (a synchronous message-passing simulator whose one
-// sharded token-chain scheduler runs under three interchangeable engine
+// sharded coroutine scheduler runs under three interchangeable engine
 // names — Goroutines, Lockstep (one shard), and Sharded — and a
 // reusable Runner that amortizes the runtime state across repeated runs;
 // CSR graphs with build-time reverse ports; Linial's cover-free color

@@ -26,7 +26,7 @@ func main() {
 	}
 	fmt.Printf("plan: %v\n", plan)
 
-	// Run the distributed algorithm: one goroutine per vertex, synchronous
+	// Run the distributed algorithm: one coroutine per vertex, synchronous
 	// rounds, O(log n)-bit messages.
 	res, err := edgecolor.LegalEdgeColoring(g, plan, edgecolor.Wide)
 	if err != nil {

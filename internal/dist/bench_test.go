@@ -42,7 +42,7 @@ func commAlgo(v dist.Process) int {
 }
 
 // commBundle runs commAlgo on every engine: scheduled on the three scheduler
-// engines, through the flat-array interpreter under Compiled.
+// engines, as a one-shot Lockstep run (CompileProcess) under Compiled.
 func commBundle() dist.Algo[int] {
 	return dist.Algo[int]{Vertex: commAlgo, Compiled: dist.CompileProcess(commAlgo)}
 }
@@ -60,9 +60,9 @@ func commBundle() dist.Algo[int] {
 //
 // Scheduling is the only engine-dependent cost of the comm workloads, so the
 // Sharded advantage scales with how much the host parallelizes the shard
-// chains, while Compiled replaces scheduling wholesale: under the interpreter
-// it saves goroutine handoffs, and under a hand-written pass it saves the
-// per-vertex control flow entirely.
+// workers. Compiled under CompileProcess is a one-shot Lockstep run, so it
+// pays the coroutine setup that a reused Runner amortizes; under a
+// hand-written pass it replaces the per-vertex control flow entirely.
 func BenchmarkEngines(b *testing.B) {
 	g := denseBenchGraph()
 	for _, e := range benchEngines {
@@ -124,7 +124,7 @@ func BenchmarkEngines(b *testing.B) {
 // BenchmarkEnginesChatty is the same comparison on the original irregular
 // workload (per-vertex PRNG budgets, varint encode/decode): here the
 // algorithm's own allocations dominate, bounding how much any scheduler (or
-// the interpreter) can matter — the realistic regime for algorithms without a
+// CompileProcess) can matter — the realistic regime for algorithms without a
 // hand-written compiled form.
 func BenchmarkEnginesChatty(b *testing.B) {
 	g := denseBenchGraph()

@@ -2,20 +2,19 @@ package dist
 
 import (
 	"fmt"
-	"iter"
-	"math/rand"
 
 	"repro/internal/graph"
 )
 
-// This file is the Compiled engine: whole-run execution of an algorithm as
-// tight passes over the graph's flat CSR arrays, with no goroutines and no
-// channels. An algorithm opts in by bundling a CompiledAlgo next to its
-// per-vertex function (Algo); RunAlgo dispatches to the compiled form when
-// the Compiled engine is selected and the bundle carries one, and to the
-// ordinary scheduler otherwise. Runner.Run degrades a Compiled request for a
-// plain per-vertex function to Lockstep, so the engine is always safe to ask
-// for.
+// This file is the Compiled engine: whole-run execution of an algorithm in
+// one call over the graph's flat CSR arrays. An algorithm opts in by
+// bundling a CompiledAlgo next to its per-vertex function (Algo): either a
+// hand-written flat pass with no per-vertex control flow, or CompileProcess,
+// which runs the per-vertex function as a one-shot Lockstep run. RunAlgo
+// dispatches to the compiled form when the Compiled engine is selected and
+// the bundle carries one, and to the ordinary scheduler otherwise.
+// Runner.Run degrades a Compiled request for a plain per-vertex function to
+// Lockstep, so the engine is always safe to ask for.
 //
 // The contract a CompiledAlgo must honor is strict byte-equality: for every
 // graph and seed its Outputs and Stats must equal those of the per-vertex
@@ -129,7 +128,7 @@ func RunAlgo[T any](g *graph.Graph, a Algo[T], opts ...Option) (*Result[T], erro
 
 // RunAlgo executes one bundled-algorithm run on this Runner; see RunAlgo
 // (package function) for semantics. Compiled runs touch none of the pooled
-// goroutine state, so mixing compiled and scheduled runs on one Runner is
+// vertex state, so mixing compiled and scheduled runs on one Runner is
 // free.
 func (r *Runner[T]) RunAlgo(a Algo[T], opts ...Option) (*Result[T], error) {
 	cfg := config{engine: Goroutines, maxRounds: DefaultMaxRounds}
@@ -169,13 +168,13 @@ func runCompiled[T any](g *graph.Graph, ca CompiledAlgo[T], cfg config) (*Result
 	return res, nil
 }
 
-// CompileProcess adapts any per-vertex algorithm into a CompiledAlgo: the
-// vertex instances run as coroutines (iter.Pull) resumed sequentially in
-// vertex order, and rounds are delivered by a single scatter pass over the
-// CSR reverse-port arrays into flat per-vertex inbox slices — no goroutines,
-// no channels, no barrier. Outputs and Stats are byte-identical to the
-// scheduler by construction: the same user code runs against the same
-// delivery, accounting, and abort semantics.
+// CompileProcess adapts any per-vertex algorithm into a CompiledAlgo: each
+// RunCompiled call is a one-shot Lockstep run of the scheduler — the vertex
+// coroutines are resumed sequentially in vertex order on the caller's
+// goroutine, rounds are delivered by the single-shard scatter pass over the
+// CSR reverse-port arrays, and the coroutines end with the run, so no
+// per-graph vertex state outlives it. Outputs and Stats are byte-identical
+// to the other engines by construction: it is the same runtime.
 //
 // It is the compiled form of choice for blocking-style pipelines (the §5
 // legal edge coloring, say) where hand-flattening the control flow would
@@ -187,9 +186,9 @@ func CompileProcess[T any](f func(Process) T) CompiledAlgo[T] {
 }
 
 // Interpret bundles a per-vertex body with its CompileProcess form: the one
-// definition runs on all four engines, the Compiled engine interpreting it
-// via coroutines. Algorithms with a hand-flattened compiled pass should
-// build their Algo explicitly instead.
+// definition runs on all four engines, the Compiled engine running it as a
+// one-shot Lockstep run. Algorithms with a hand-flattened compiled pass
+// should build their Algo explicitly instead.
 func Interpret[T any](f func(Process) T) Algo[T] {
 	return Algo[T]{Vertex: f, Compiled: CompileProcess(f)}
 }
@@ -198,197 +197,12 @@ type procInterp[T any] struct {
 	f func(Process) T
 }
 
-// compiledAbort is the sentinel panic that unwinds a coroutine stopped
-// mid-run (abort after a vertex panic or a tripped round cap); the coroutine
-// wrapper recovers it, so user defers run exactly as they do during the
-// scheduler's Goexit unwind.
-type compiledAbort struct{}
-
-// cvert is the per-vertex interpreter state; it implements Process for the
-// coroutine running the user function.
-type cvert[T any] struct {
-	run      *crun[T]
-	idx      int
-	id       int
-	next     func() (struct{}, bool)
-	stop     func()
-	yield    func(struct{}) bool
-	out      [][]byte // staged outbox (nil = sent nothing this round)
-	inbox    [][]byte // pooled round inbox, same reuse contract as proc
-	rng      *rand.Rand
-	bcast    [][]byte // Broadcast scratch outbox + memoized message
-	bcastMsg []byte
-	echo     [][]byte // snapshot scratch for the echo/forward pattern
-	exiting  bool     // stopped: user defers calling Round unwind again
-	val      T
-	pan      any
-	panicked bool
-}
-
-type crun[T any] struct {
-	g      *graph.Graph
-	seed   int64
-	delta  int
-	status []uint8
-	verts  []*cvert[T]
-}
-
-var _ Process = (*cvert[int])(nil)
-
-func (p *cvert[T]) ID() int        { return p.id }
-func (p *cvert[T]) N() int         { return p.run.g.N() }
-func (p *cvert[T]) Deg() int       { return p.run.g.Deg(p.idx) }
-func (p *cvert[T]) MaxDegree() int { return p.run.delta }
-
-func (p *cvert[T]) NeighborID(port int) int {
-	g := p.run.g
-	return g.ID(int(g.Neighbors(p.idx)[port]))
-}
-
-func (p *cvert[T]) Rand() *rand.Rand {
-	if p.rng == nil {
-		p.rng = rand.New(rand.NewSource(VertexSeed(p.run.seed, p.id)))
-	}
-	return p.rng
-}
-
-func (p *cvert[T]) Round(out [][]byte) [][]byte {
-	if p.exiting {
-		panic(compiledAbort{})
-	}
-	deg := p.Deg()
-	if out != nil && len(out) != deg {
-		panic(fmt.Sprintf("dist: vertex id %d sent %d messages on %d ports", p.id, len(out), deg))
-	}
-	if len(out) > 0 && p.inbox != nil && &out[0] == &p.inbox[0] {
-		// Echo pattern: the caller forwards the slice Round returned, whose
-		// slots delivery recycles. Snapshot the headers, as proc.Round does.
-		if p.echo == nil {
-			p.echo = make([][]byte, deg)
-		}
-		copy(p.echo, out)
-		out = p.echo
-	}
-	p.out = out
-	if !p.yield(struct{}{}) {
-		// The interpreter stopped this coroutine: unwind, running user
-		// defers on the way out (any Round they call hits the exiting guard).
-		p.exiting = true
-		panic(compiledAbort{})
-	}
-	if p.inbox == nil {
-		p.inbox = make([][]byte, deg)
-	}
-	return p.inbox
-}
-
-func (p *cvert[T]) Broadcast(msg []byte) [][]byte {
-	if msg == nil {
-		return p.Round(nil)
-	}
-	if p.bcast == nil {
-		p.bcast = make([][]byte, p.Deg())
-	}
-	out := p.bcast
-	if !sameBuffer(msg, p.bcastMsg) {
-		for i := range out {
-			out[i] = msg
-		}
-		p.bcastMsg = msg
-	}
-	return p.Round(out)
-}
-
-// RunCompiled drives the coroutine generation round by round: sequential
-// release in vertex order (Lockstep's order), then one scatter delivery over
-// the CSR arrays with the scheduler's exact accounting.
+// RunCompiled executes f as a one-shot Lockstep run writing into outputs. On
+// error the returned Stats are the ones accumulated up to the abort.
 func (pi procInterp[T]) RunCompiled(g *graph.Graph, env CompiledEnv, outputs []T) (Stats, error) {
-	n := g.N()
-	cr := &crun[T]{g: g, seed: env.Seed, delta: g.MaxDegree(), status: make([]uint8, n), verts: make([]*cvert[T], n)}
-	for v := 0; v < n; v++ {
-		p := &cvert[T]{run: cr, idx: v, id: g.ID(v)}
-		p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
-			p.yield = yield
-			defer func() {
-				if r := recover(); r != nil {
-					if _, ok := r.(compiledAbort); ok {
-						return
-					}
-					p.panicked, p.pan = true, r
-				}
-			}()
-			p.val = pi.f(p)
-		})
-		cr.verts[v] = p
-	}
-	t := env.NewTally()
-	abort := func() {
-		// Unwind every coroutine: finished ones are no-ops, parked ones run
-		// their user defers, never-started ones never run.
-		for _, p := range cr.verts {
-			p.stop()
-		}
-	}
-	var written []slotRef
-	active := append([]*cvert[T](nil), cr.verts...)
-	for len(active) > 0 {
-		for _, p := range active {
-			cr.status[p.idx] = statusRunning
-			if _, yielded := p.next(); yielded {
-				cr.status[p.idx] = statusYielded
-				continue
-			}
-			if p.panicked {
-				err := fmt.Errorf("dist: vertex id %d panicked: %v", p.id, p.pan)
-				abort()
-				return t.Stats, err
-			}
-			cr.status[p.idx] = statusDone
-			outputs[p.idx] = p.val
-		}
-		arrived := active[:0]
-		for _, p := range active {
-			if cr.status[p.idx] == statusYielded {
-				arrived = append(arrived, p)
-			}
-		}
-		if len(arrived) == 0 {
-			return t.Stats, nil
-		}
-		if err := t.StartRound(len(arrived)); err != nil {
-			abort()
-			return t.Stats, err
-		}
-		for _, sr := range written {
-			cr.verts[sr.idx].inbox[sr.port] = nil
-		}
-		written = written[:0]
-		for _, p := range arrived {
-			out := p.out
-			if out == nil {
-				continue
-			}
-			p.out = nil
-			nbrs := g.Neighbors(p.idx)
-			rp := g.ReversePorts(p.idx)
-			for port, msg := range out {
-				if msg == nil {
-					continue
-				}
-				t.Message(len(msg))
-				u := nbrs[port]
-				if cr.status[u] != statusYielded {
-					continue // halted this round or earlier: drop
-				}
-				q := cr.verts[u]
-				if q.inbox == nil {
-					q.inbox = make([][]byte, g.Deg(int(u)))
-				}
-				q.inbox[rp[port]] = msg
-				written = append(written, slotRef{idx: u, port: rp[port]})
-			}
-		}
-		active = arrived
-	}
-	return t.Stats, nil
+	r := NewRunner[T](g)
+	defer r.Close()
+	res := &Result[T]{Outputs: outputs}
+	err := r.run(config{engine: Lockstep, seed: env.Seed, maxRounds: env.MaxRounds}, pi.f, res)
+	return res.Stats, err
 }

@@ -67,8 +67,8 @@ func TestCompiledPanicPropagates(t *testing.T) {
 		t.Fatalf("err = %v, want vertex panic", err)
 	}
 	// Lockstep release order: vertices 1..3 yielded (and unwind on abort),
-	// vertex 4 panicked mid-release, vertices 5..6 were never released and —
-	// exactly like the scheduler's parked goroutines — never start.
+	// vertex 4 panicked mid-release, and vertices 5..6 were never resumed, so
+	// stopping their coroutines never starts them.
 	if defersRan != 4 {
 		t.Fatalf("defersRan = %d, want 4 (released coroutines unwound, unreleased never started)", defersRan)
 	}

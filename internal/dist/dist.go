@@ -19,29 +19,32 @@
 // remote port numbering.
 //
 // Engines. One scheduler executes every per-vertex function: each vertex
-// runs as an instance on its own goroutine, and the vertex set is split
-// into contiguous shards whose instances pass a release token down the
-// shard in index order, while distinct shards run concurrently (sharded.go
+// runs as an iter.Pull coroutine, and the vertex set is split into
+// contiguous shards; each round, one worker per shard resumes the shard's
+// vertices in index order, while distinct shards run concurrently (sharded.go
 // documents the mechanism). WithEngine names a shard count:
 //
 //   - Goroutines (default) and Sharded use WithShards shards, GOMAXPROCS by
-//     default. Vertices of different shards genuinely run concurrently
-//     between round barriers, so `go test -race` exercises real
-//     message-passing isolation.
-//   - Lockstep uses exactly one shard: no two vertex instances ever run
-//     simultaneously, and every round resumes the vertices in index order.
+//     default, each resumed by a worker goroutine of its own. Vertices of
+//     different shards genuinely run concurrently between round barriers,
+//     so `go test -race` exercises real message-passing isolation.
+//   - Lockstep uses exactly one shard, resumed on the caller's goroutine: no
+//     two vertex instances ever run simultaneously, and every round resumes
+//     the vertices in index order.
 //   - Compiled runs algorithms that carry a whole-graph form (RunAlgo) as
 //     flat passes over the graph arrays and falls back to Lockstep for a
-//     plain per-vertex function.
+//     plain per-vertex function. CompileProcess gives any per-vertex
+//     function such a form: a one-shot Lockstep run.
 //
 // For a fixed graph and seed all engines produce byte-identical
 // Result.Outputs and Result.Stats: scheduling differs, the computation does
 // not. TestEnginesAgree pins this.
 //
 // Reuse. Run rebuilds the per-vertex runtime state from scratch on every
-// call. NewRunner amortizes that state — procs, goroutines, shards, pooled
-// round inboxes — across repeated runs over the same graph, so a
-// steady-state run allocates only its Result; experiment grids that execute
+// call, and its coroutines end with the run. NewRunner amortizes that state
+// — procs, vertex coroutines parked between runs, shards, pooled round
+// inboxes — across repeated runs over the same graph, so a steady-state run
+// allocates little beyond its Result; experiment grids that execute
 // thousands of runs should hold one Runner per graph.
 //
 // Determinism. WithSeed fixes the per-vertex PRNG streams returned by
@@ -161,23 +164,24 @@ type Result[T any] struct {
 type Engine int
 
 const (
-	// Goroutines runs every vertex on its own goroutine, on WithShards
-	// concurrent shards (GOMAXPROCS by default), with a barrier per round:
-	// the concurrent LOCAL-model execution. Default. It runs on the same
-	// scheduler as Sharded; the two names are interchangeable.
+	// Goroutines runs the vertex coroutines on WithShards concurrent shards
+	// (GOMAXPROCS by default), one worker goroutine per shard, with a
+	// barrier per round: the concurrent LOCAL-model execution. Default. It
+	// runs on the same scheduler as Sharded; the two names are
+	// interchangeable.
 	Goroutines Engine = iota
-	// Lockstep runs the scheduler with exactly one shard: vertices resume
-	// sequentially (in vertex order) within each round, with no concurrency.
+	// Lockstep runs the scheduler with exactly one shard on the caller's
+	// goroutine: vertices resume sequentially (in vertex order) within each
+	// round, with no concurrency.
 	Lockstep
 	// Sharded runs the scheduler on WithShards contiguous vertex shards
-	// (GOMAXPROCS by default): per-shard token-chain releases, sender-side
+	// (GOMAXPROCS by default): per-shard resume loops, sender-side
 	// per-shard accounting merged in index order, and destination-sharded
 	// parallel delivery. Identical to Goroutines.
 	Sharded
 	// Compiled executes algorithms that carry a CompiledAlgo form (see Algo
-	// and RunAlgo) as tight whole-graph passes over the flat CSR arrays — no
-	// goroutines, no channels — and degrades to Lockstep for plain per-vertex
-	// functions. Outputs and Stats are byte-identical to the other engines;
+	// and RunAlgo) as tight whole-graph passes over the flat CSR arrays and
+	// degrades to Lockstep for plain per-vertex functions. Outputs and Stats are byte-identical to the other engines;
 	// only wall-clock changes.
 	Compiled
 )
@@ -251,9 +255,9 @@ func WithMaxRounds(r int) Option {
 }
 
 // MaxShards caps the shard count of a run. Multi-shard delivery keeps one
-// message queue per (source, destination) shard pair and starts one drain
-// goroutine per shard every round, so the count bounds that state at
-// MaxShards² queues regardless of what a caller asks for.
+// message queue per (source, destination) shard pair and starts one worker
+// goroutine per shard for each release and drain phase, so the count bounds
+// that state at MaxShards² queues regardless of what a caller asks for.
 const MaxShards = 64
 
 // WithShards fixes the shard count of the Goroutines and Sharded engines

@@ -215,7 +215,7 @@ func TestShardedIsSequentialWithinShard(t *testing.T) {
 
 // TestShardedUnderRace drives the concurrent engines on a dense graph with
 // real cross-shard message traffic; under -race this validates the
-// token-chain release and the destination-sharded delivery.
+// concurrent shard workers and the destination-sharded delivery.
 func TestShardedUnderRace(t *testing.T) {
 	for _, tc := range []struct {
 		name string

@@ -1,0 +1,125 @@
+package dist
+
+import (
+	"runtime"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/graph"
+)
+
+// liveGoroutines is the goroutine count minus the released coroutines parked
+// in the idle set (only the race build keeps any; see keepIdleCoros).
+func liveGoroutines() int {
+	idleCoros.Lock()
+	defer idleCoros.Unlock()
+	return runtime.NumGoroutine() - len(idleCoros.list)
+}
+
+// settleGoroutines polls until the live goroutine count is back to base and
+// fails after a deadline. With gc set, every poll first runs a collection,
+// so the cleanup of an unreachable Runner gets its chance to fire.
+func settleGoroutines(t *testing.T, what string, base int, gc bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if gc {
+			runtime.GC()
+		}
+		n := liveGoroutines()
+		if n <= base {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: %d goroutines left behind (baseline %d)", what, n-base, base)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestRunnerLeavesNoGoroutines pins the runtime's lifecycle: one-shot runs,
+// Close after reuse, failed runs, Pool.Close, and the GC cleanup of a
+// dropped Runner each end every vertex coroutine and shard worker they
+// started.
+func TestRunnerLeavesNoGoroutines(t *testing.T) {
+	g := graph.GNM(60, 200, 4)
+	engines := []Engine{Goroutines, Lockstep, Sharded, Compiled}
+	forever := func(v Process) int {
+		for {
+			v.Round(nil)
+		}
+	}
+	bomb := func(v Process) int {
+		if v.ID() == 9 {
+			panic("bomb")
+		}
+		return forever(v)
+	}
+
+	base := liveGoroutines()
+	for _, e := range engines {
+		if _, err := RunAlgo(g, chattyAlgo(), WithEngine(e), WithShards(3)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Run(g, chatty, WithEngine(e), WithShards(3)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	settleGoroutines(t, "one-shot runs", base, false)
+
+	r := NewRunner[[]int](g)
+	for i := 0; i < 2; i++ {
+		for _, e := range engines {
+			if _, err := r.RunAlgo(chattyAlgo(), WithEngine(e), WithShards(3)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	r.Close()
+	settleGoroutines(t, "Close after reuse", base, false)
+	runtime.KeepAlive(r)
+
+	ri := NewRunner[int](g)
+	for _, e := range engines {
+		if _, err := ri.Run(poolAlgo, WithEngine(e), WithShards(3)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ri.Run(bomb, WithEngine(e), WithShards(3)); err == nil {
+			t.Fatalf("engine %v: want panic error", e)
+		}
+		if _, err := ri.Run(forever, WithEngine(e), WithShards(3), WithMaxRounds(5)); err == nil {
+			t.Fatalf("engine %v: want round-cap error", e)
+		}
+		if _, err := RunAlgo(g, Interpret(bomb), WithEngine(e), WithShards(3)); err == nil {
+			t.Fatalf("engine %v: want one-shot panic error", e)
+		}
+	}
+	ri.Close()
+	settleGoroutines(t, "failed runs", base, false)
+	runtime.KeepAlive(ri)
+
+	p := NewPool[int](g, 2)
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := p.Run(poolAlgo, WithEngine(engines[i]), WithShards(3)); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	p.Close()
+	settleGoroutines(t, "Pool.Close", base, false)
+	runtime.KeepAlive(p)
+
+	func() {
+		dropped := NewRunner[int](g)
+		if _, err := dropped.Run(poolAlgo, WithShards(3)); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	settleGoroutines(t, "dropped Runner", base, true)
+}

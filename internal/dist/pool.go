@@ -38,7 +38,7 @@ type Pool[T any] struct {
 	idle  []*Runner[T]
 	stats PoolStats
 	// closed rejects late releases: runners returned after Close are closed
-	// instead of pooled, so Close never leaks parked goroutine generations.
+	// instead of pooled, so Close never leaks parked vertex coroutines.
 	closed bool
 }
 

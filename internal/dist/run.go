@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/graph"
 )
@@ -14,41 +12,40 @@ import (
 // and returns the per-vertex outputs with the measured cost. See the package
 // documentation for the execution contract and the available Options.
 //
-// Run is a thin wrapper over a freshly built Runner; callers that execute
-// many runs over the same graph should construct one Runner and reuse it so
-// the per-vertex runtime state is amortized across runs.
+// Run is a thin wrapper over a freshly built Runner, closed when the run
+// ends, so its vertex coroutines end with the run; callers that execute many
+// runs over the same graph should construct one Runner and reuse it so the
+// per-vertex runtime state is amortized across runs.
 //
 // A panic inside any vertex instance aborts the run and is returned as an
 // error carrying the vertex and the panic value.
 func Run[T any](g *graph.Graph, algo func(Process) T, opts ...Option) (*Result[T], error) {
 	r := NewRunner[T](g)
-	r.oneShot = true
 	defer r.Close()
 	return r.Run(algo, opts...)
 }
 
 // Runner executes repeated runs over one graph, amortizing the per-vertex
-// runtime state — proc structs, the vertex goroutines themselves, resume
-// channels, the shard partition and its delivery queues, round inbox
-// buffers, and Broadcast scratch outboxes — so that a steady-state run
-// costs O(work), not O(bookkeeping). The reverse-port tables live in the
-// graph itself (graph.ReversePorts, precomputed at build time), so a Runner
-// adds no per-run preprocessing at all: between runs the vertex goroutines
-// stay parked, and a new run merely resets statuses and releases them
-// again.
+// runtime state — proc structs, the vertex coroutines themselves, the shard
+// partition and its delivery queues, round inbox buffers, and Broadcast
+// scratch outboxes — so that a steady-state run costs O(work), not
+// O(bookkeeping). The reverse-port tables live in the graph itself
+// (graph.ReversePorts, precomputed at build time), so a Runner adds no
+// per-run preprocessing at all: between runs every vertex coroutine stays
+// parked idle, and a new run merely resets statuses and resumes them again.
 //
 // Reuse contract: a Runner is NOT safe for concurrent use — runs must be
 // issued one at a time (each run still executes vertices concurrently
 // internally, engine permitting). Outputs and Stats of finished runs remain
 // valid indefinitely, but message buffers received by an algorithm are only
-// valid until its next Round call, as documented on Process.Round. After a
-// run fails (vertex panic, round cap), the Runner discards its pooled state
-// and rebuilds it on the next run, because aborted vertex goroutines may
-// still be unwinding user defers that touch it.
+// valid until its next Round call, as documented on Process.Round. A failed
+// run (vertex panic, round cap) closes the Runner before the error is
+// returned — the aborted vertices' user defers have run by then — and the
+// next run rebuilds the pooled state.
 //
-// Close releases the parked vertex goroutines; forgetting to call it is not
-// fatal (a GC cleanup releases them when the Runner becomes unreachable),
-// but explicit Close is deterministic and cheap.
+// Close ends the parked vertex coroutines; forgetting to call it is not
+// fatal (a GC cleanup ends them when the Runner becomes unreachable), but
+// explicit Close is deterministic and cheap.
 type Runner[T any] struct {
 	g     *graph.Graph
 	delta int
@@ -60,43 +57,9 @@ type Runner[T any] struct {
 	written [][]slotRef  // per dest shard: inbox slots filled last round
 	queues  [][][]qentry // [src shard][dest shard] staged message queue
 	shards  []shard[T]   // vertex partition, rebuilt when the count changes
-	life    *lifeline[T] // shuts down the current goroutine generation
-
-	// oneShot marks a Runner used for a single package-level Run: vertex
-	// goroutines exit as soon as their vertex halts instead of parking for
-	// a next run that will never come.
-	oneShot bool
-	// spawned reports whether the current generation's vertex goroutines
-	// are live.
-	spawned bool
-}
-
-// lifeline is the shutdown switch of one goroutine generation. Killing it
-// marks the generation dead and feeds every vertex a wake-up token, so a
-// park — a single channel receive — needs no second select case. It is a
-// separate small object so a GC cleanup can trip it after the Runner itself
-// becomes unreachable, and the Once lets abort paths, Close, and the
-// cleanup share the kill race-freely.
-type lifeline[T any] struct {
-	dead  atomic.Bool
-	once  sync.Once
-	procs []*proc[T]
-}
-
-// kill releases every goroutine of the generation; idempotent. The token
-// sends cannot wedge: resume has capacity 1, and a vertex whose slot is
-// full is about to consume it, park again, and observe dead. Dropping the
-// proc references afterwards lets a killed generation (and its pooled
-// buffers) be collected even while the lifeline itself stays reachable
-// through a pending AddCleanup.
-func (l *lifeline[T]) kill() {
-	l.once.Do(func() {
-		l.dead.Store(true)
-		for _, p := range l.procs {
-			p.resume <- struct{}{}
-		}
-		l.procs = nil
-	})
+	// cleanup releases the coroutines of a Runner dropped without Close; it
+	// is registered each time prepare builds the procs.
+	cleanup runtime.Cleanup
 }
 
 // NewRunner returns a Runner for the given graph. The type parameter is the
@@ -105,27 +68,27 @@ func NewRunner[T any](g *graph.Graph) *Runner[T] {
 	return &Runner[T]{g: g, delta: g.MaxDegree()}
 }
 
-// Close shuts down the Runner's parked vertex goroutines. The Runner may be
-// used again afterwards (the next Run rebuilds), but the idiomatic lifecycle
-// is one Close at the end, usually by defer.
+// Close ends the Runner's vertex coroutines and drops its pooled state. The
+// Runner may be used again afterwards (the next Run rebuilds), but the
+// idiomatic lifecycle is one Close at the end, usually by defer.
 func (r *Runner[T]) Close() {
-	if r.life != nil {
-		r.life.kill()
-		r.discard()
-	}
+	r.cleanup.Stop()
+	releaseCoros(r.procs)
+	*r = Runner[T]{g: r.g, delta: r.delta}
 }
 
-// discard drops every piece of generation-tainted pooled state.
-func (r *Runner[T]) discard() {
-	r.life = nil
-	r.procs = nil
-	r.status = nil
-	r.outbox = nil
-	r.shardOf = nil
-	r.written = nil
-	r.queues = nil
-	r.shards = nil
-	r.spawned = false
+// releaseCoros gives back the vertex coroutines of procs. One parked inside
+// Round (an aborted run) is stopped: it unwinds through the abort sentinel,
+// running user defers, before stop returns. Every other one is idle —
+// between instances or never resumed — and is released with putCoro.
+func releaseCoros[T any](procs []*proc[T]) {
+	for _, p := range procs {
+		if p.s.status[p.idx] == statusYielded {
+			p.co.stop()
+		} else {
+			putCoro(p.co)
+		}
+	}
 }
 
 // clearStale nils the inbox slots filled by the previous run's final round,
@@ -156,56 +119,57 @@ func (r *Runner[T]) Run(algo func(Process) T, opts ...Option) (*Result[T], error
 		return nil, fmt.Errorf("dist: unknown engine %v", cfg.engine)
 	}
 	res := &Result[T]{Outputs: make([]T, r.g.N())}
-	if r.g.N() == 0 {
-		return res, nil
-	}
-	s := r.prepare(cfg, algo, res)
-	if err := s.run(); err != nil {
-		// Wake everything still parked so the generation can unwind, and
-		// drop the pooled state: the next Run rebuilds from scratch rather
-		// than share it with goroutines that may still be running user
-		// defers.
-		r.life.kill()
-		r.discard()
+	if err := r.run(cfg, algo, res); err != nil {
 		return nil, err
 	}
 	return res, nil
 }
 
+// run executes one run into res. A failed run is closed before the error
+// is returned: the coroutines parked inside Round are stopped, so no aborted
+// vertex still runs user code, and the next run rebuilds the pooled state
+// from scratch.
+func (r *Runner[T]) run(cfg config, algo func(Process) T, res *Result[T]) error {
+	if r.g.N() == 0 {
+		return nil
+	}
+	err := r.prepare(cfg, algo, res).run()
+	if err != nil {
+		r.Close()
+	}
+	return err
+}
+
 // prepare resets the pooled per-vertex state for one run and binds it to a
-// fresh per-run scheduler, spawning the vertex goroutine generation if none
-// is live.
+// fresh per-run scheduler, creating the vertex coroutines if none are live.
 func (r *Runner[T]) prepare(cfg config, algo func(Process) T, res *Result[T]) *sched[T] {
 	n := r.g.N()
 	if r.procs == nil {
 		r.procs = make([]*proc[T], n)
 		for v := 0; v < n; v++ {
-			r.procs[v] = &proc[T]{idx: v, id: r.g.ID(v), resume: make(chan struct{}, 1)}
+			p := &proc[T]{idx: v, id: r.g.ID(v)}
+			p.co = getCoro(p)
+			r.procs[v] = p
 		}
 		r.status = make([]uint8, n)
 		r.outbox = make([][][]byte, n)
+		// Safety net for Runners dropped without Close: release the parked
+		// coroutines once the Runner is unreachable. No proc references the
+		// Runner, so passing them here does not keep it alive.
+		r.cleanup = runtime.AddCleanup(r, releaseCoros[T], r.procs)
 	}
 	// Undo the previous run's final delivery before the written lists are
 	// potentially resized for a different engine or shard count.
 	r.clearStale()
-	if r.life == nil {
-		r.life = &lifeline[T]{procs: r.procs}
-		// Safety net for Runners dropped without Close: release the parked
-		// generation once the Runner is unreachable. The lifeline is its
-		// own object, so passing it here does not resurrect the Runner.
-		runtime.AddCleanup(r, func(l *lifeline[T]) { l.kill() }, r.life)
-	}
 	s := &sched[T]{
-		g:       r.g,
-		cfg:     cfg,
-		algo:    algo,
-		res:     res,
-		delta:   r.delta,
-		oneShot: r.oneShot,
-		procs:   r.procs,
-		status:  r.status,
-		outbox:  r.outbox,
-		life:    r.life,
+		g:      r.g,
+		cfg:    cfg,
+		algo:   algo,
+		res:    res,
+		delta:  r.delta,
+		procs:  r.procs,
+		status: r.status,
+		outbox: r.outbox,
 	}
 	count := 1 // Lockstep runs on a single shard
 	if cfg.engine != Lockstep {
@@ -218,18 +182,13 @@ func (r *Runner[T]) prepare(cfg config, algo func(Process) T, res *Result[T]) *s
 	if len(r.shards) != count {
 		r.shards = make([]shard[T], count)
 		for i := range r.shards {
-			r.shards[i] = shard[T]{
-				index: i,
-				lo:    i * n / count,
-				hi:    (i + 1) * n / count,
-				done:  make(chan struct{}, 1),
-			}
+			r.shards[i] = shard[T]{index: i, lo: i * n / count, hi: (i + 1) * n / count}
 		}
 	}
 	s.shards = r.shards
 	// A single shard needs no destination binning: its delivery is the
 	// scatter pass (which also does the accounting), so the queue and
-	// shard-lookup machinery stays nil and yields cost O(1).
+	// shard-lookup machinery stays nil and staging costs O(1).
 	if count > 1 {
 		if r.shardOf == nil {
 			r.shardOf = make([]int32, n)
@@ -250,8 +209,6 @@ func (r *Runner[T]) prepare(cfg config, algo func(Process) T, res *Result[T]) *s
 	for _, p := range r.procs {
 		p.s = s
 		p.rng = nil
-		p.exiting = false
-		p.next = nil
 		r.status[p.idx] = statusRunning
 		r.outbox[p.idx] = nil
 	}
@@ -259,7 +216,7 @@ func (r *Runner[T]) prepare(cfg config, algo func(Process) T, res *Result[T]) *s
 		sh := &s.shards[i]
 		sh.stats = Stats{}
 		sh.err = nil
-		sh.first = nil
+		sh.active = append(sh.active[:0], r.procs[sh.lo:sh.hi]...)
 		for v := sh.lo; v < sh.hi; v++ {
 			r.procs[v].shard = sh
 			if s.shardOf != nil {
@@ -267,23 +224,15 @@ func (r *Runner[T]) prepare(cfg config, algo func(Process) T, res *Result[T]) *s
 			}
 		}
 	}
-	if !r.spawned {
-		r.spawned = true
-		for _, p := range r.procs {
-			go vertexLoop(p, r.life)
-		}
-	}
 	return s
 }
 
-// Vertex lifecycle within a round. Transitions are driven exclusively by the
-// scheduling token that releases a vertex (statusRunning) and by the single
-// yield/halt it performs per release (statusYielded / statusDone), so the
-// status array needs no lock: a slot is only ever read or written while the
-// owning vertex goroutine is parked, or by the vertex itself while it holds
-// its release token.
+// Vertex lifecycle within a round. A slot is written only by its own vertex
+// while that vertex runs (the one-way yield/halt it performs per resume) and
+// read by its shard's worker once the vertex has switched back, so the
+// status array needs no lock.
 const (
-	statusRunning uint8 = iota // released, executing user code
+	statusRunning uint8 = iota // not yet yielded this run
 	statusYielded              // parked inside Round, outbox staged
 	statusDone                 // returned; output recorded
 )
@@ -300,15 +249,21 @@ type qentry struct {
 	msg       []byte
 }
 
+// abortRun is the sentinel panic that unwinds a vertex coroutine stopped
+// inside Round (an aborted run); instance recovers it after the user defers
+// have run.
+type abortRun struct{}
+
 // proc is the per-vertex runtime state; it implements Process. A Runner
-// keeps procs (and their pooled buffers) alive across runs.
+// keeps procs (and their pooled buffers and coroutines) alive across runs.
 type proc[T any] struct {
 	s   *sched[T]
 	idx int // vertex index in g
 	id  int // distinct identifier g.ID(idx)
-	// exiting is set just before runtime.Goexit on an aborted run and read
-	// only by this vertex's own goroutine: it stops user defers that call
-	// Round during the unwind from touching the channels again.
+	co  *coro
+	// exiting is set once the coroutine has been stopped inside Round: user
+	// defers that call Round during the unwind panic with the sentinel
+	// again instead of staging messages for a run that is over.
 	exiting bool
 	rng     *rand.Rand
 	// inbox is the vertex's stable round inbox: a single pooled buffer of
@@ -318,11 +273,6 @@ type proc[T any] struct {
 	// exactly this buffer — valid until the vertex's next Round call, as
 	// the Process contract states.
 	inbox [][]byte
-	// resume carries the release tokens. Capacity 1 makes every token send
-	// a non-blocking handoff: a release token is sent only to a parked (or
-	// about-to-park) vertex, and the kill token of lifeline.kill at worst
-	// queues behind one unconsumed release token.
-	resume chan struct{}
 	// bcast is the scratch outbox reused by every Broadcast call; it is
 	// invalidated (overwritten) at the vertex's next Round. bcastMsg
 	// remembers the message the scratch currently replicates, so repeated
@@ -335,10 +285,7 @@ type proc[T any] struct {
 	// inbox slots, so the staged slice must not be the inbox itself.
 	echo [][]byte
 
-	// The shard owning this vertex and the successor in the current
-	// round's token chain.
-	shard *shard[T]
-	next  *proc[T]
+	shard *shard[T] // the shard owning this vertex
 }
 
 var _ Process = (*proc[int])(nil)
@@ -360,6 +307,9 @@ func (p *proc[T]) Rand() *rand.Rand {
 }
 
 func (p *proc[T]) Round(out [][]byte) [][]byte {
+	if p.exiting {
+		panic(abortRun{})
+	}
 	deg := p.Deg()
 	if out != nil && len(out) != deg {
 		panic(fmt.Sprintf("dist: vertex id %d sent %d messages on %d ports", p.id, len(out), deg))
@@ -374,7 +324,13 @@ func (p *proc[T]) Round(out [][]byte) [][]byte {
 		copy(p.echo, out)
 		out = p.echo
 	}
-	p.yield(out)
+	p.stage(out)
+	if !p.co.yield(struct{}{}) {
+		// The coroutine was stopped: unwind, running user defers on the way
+		// out (any Round they call hits the exiting guard).
+		p.exiting = true
+		panic(abortRun{})
+	}
 	if p.inbox == nil {
 		// Nothing was ever delivered to this vertex; materialize the empty
 		// inbox so the return is indexable.
@@ -407,17 +363,34 @@ func sameBuffer(a, b []byte) bool {
 	return len(a) == len(b) && len(a) > 0 && &a[0] == &b[0]
 }
 
-// sched drives one run on the shard token chain (see sharded.go). The
-// scheduled engines differ only in the shard count: one shard releases every
-// vertex in index order, several run their chains concurrently and deliver
+// instance executes one algorithm instance — the vertex coroutine's task
+// for every run — to completion and records its output and halt. A panic
+// anywhere in the algorithm is recorded against the vertex's shard instead,
+// unless it is part of an abort unwind.
+func (p *proc[T]) instance() {
+	defer func() {
+		if v := recover(); v != nil && !p.exiting {
+			p.shard.err = fmt.Errorf("dist: vertex id %d panicked: %v", p.id, v)
+			p.s.status[p.idx] = statusDone
+		}
+	}()
+	val := p.s.algo(p)
+	if !p.exiting { // else a user defer swallowed the abort sentinel
+		p.s.res.Outputs[p.idx] = val
+		p.s.status[p.idx] = statusDone
+	}
+}
+
+// sched drives one run (see sharded.go). The scheduled engines differ only
+// in the shard count: one shard resumes every vertex in index order on the
+// caller's goroutine, several resume their vertices concurrently and deliver
 // through per-shard queues instead of the single-shard scatter pass.
 type sched[T any] struct {
-	g       *graph.Graph
-	cfg     config
-	algo    func(Process) T
-	res     *Result[T]
-	delta   int
-	oneShot bool
+	g     *graph.Graph
+	cfg   config
+	algo  func(Process) T
+	res   *Result[T]
+	delta int
 
 	procs   []*proc[T]
 	status  []uint8      // per-vertex lifecycle, dense for delivery scans
@@ -425,86 +398,34 @@ type sched[T any] struct {
 	shardOf []int32      // vertex -> shard index (nil with one shard)
 	written [][]slotRef  // per dest shard: inbox slots filled last round
 	queues  [][][]qentry // [src shard][dest shard] staged messages (nil with one shard)
-	life    *lifeline[T] // generation shutdown switch; never tripped by run itself
 	shards  []shard[T]   // vertex partition, at least one shard
 }
 
 // run drives rounds until every vertex has halted, a vertex panics, or the
-// round cap trips. On error the caller (Runner.Run) kills the goroutine
-// generation; run itself never trips the lifeline.
+// round cap trips. On error the caller (Runner.run) stops the coroutines.
 func (s *sched[T]) run() error {
-	// active is filtered in place each round, so it must not alias s.procs
-	// (delivery indexes s.procs by vertex).
-	active := append([]*proc[T](nil), s.procs...)
-	for len(active) > 0 {
-		if err := s.release(active); err != nil {
+	for {
+		if err := s.release(); err != nil {
 			return err
 		}
-		arrived := active[:0]
-		for _, p := range active {
-			if s.status[p.idx] == statusYielded {
-				arrived = append(arrived, p)
-			}
+		arrived := 0
+		for i := range s.shards {
+			arrived += len(s.shards[i].active)
 		}
-		if len(arrived) == 0 {
+		if arrived == 0 {
 			return nil
 		}
 		s.res.Stats.Rounds++
-		s.res.Stats.Activations += len(arrived)
+		s.res.Stats.Activations += arrived
 		if s.cfg.maxRounds > 0 && s.res.Stats.Rounds > s.cfg.maxRounds {
 			return roundCapErr(s.cfg.maxRounds, s.res.Stats)
 		}
 		if s.queues != nil {
 			s.deliverSharded()
 		} else {
-			s.deliver(arrived)
-		}
-		active = arrived
-	}
-	return nil
-}
-
-// vertexLoop is the body of one persistent vertex goroutine: it parks
-// between runs waiting for a release token and executes one algorithm
-// instance per release. The loop ends when the lifeline is killed (Close,
-// GC cleanup, or an aborted run), when an instance dies reporting a panic,
-// or — for one-shot Runners — as soon as the single instance halts.
-func vertexLoop[T any](p *proc[T], life *lifeline[T]) {
-	for {
-		<-p.resume
-		if life.dead.Load() {
-			return
-		}
-		if !vertexRun(p) {
-			return
+			s.deliver(s.shards[0].active)
 		}
 	}
-}
-
-// vertexRun executes one released algorithm instance to completion and
-// records its return value; it records a panic anywhere in the algorithm
-// instead (runtime.Goexit from an aborted yield skips both: recover returns
-// nil during Goexit). The return value says whether the goroutine should
-// keep serving future runs.
-func vertexRun[T any](p *proc[T]) (alive bool) {
-	alive = true
-	defer func() {
-		if r := recover(); r != nil && !p.exiting {
-			alive = false
-			p.fail(r)
-		}
-	}()
-	val := p.s.algo(p)
-	if p.s.oneShot {
-		alive = false
-	}
-	// The vertex still holds its shard's token: record the output and
-	// status directly and pass the token on. The end-of-round barrier
-	// publishes both to the scheduler.
-	p.s.res.Outputs[p.idx] = val
-	p.s.status[p.idx] = statusDone
-	p.passToken()
-	return alive
 }
 
 // deliver is the single-shard delivery: it moves the staged outboxes of the

@@ -1,31 +1,26 @@
 package dist
 
-import (
-	"fmt"
-	"runtime"
-	"sync"
-)
+import "sync"
 
 // Every scheduled engine (Goroutines, Lockstep, Sharded) runs on one
-// scheduler: the vertex set is partitioned into contiguous index ranges
-// (GOMAXPROCS of them by default, override with WithShards, at most
-// MaxShards; Lockstep always uses exactly one) and each shard gets one
-// logical worker:
+// scheduler. Each vertex is an iter.Pull coroutine, and the vertex set is
+// partitioned into contiguous index ranges (GOMAXPROCS of them by default,
+// override with WithShards, at most MaxShards; Lockstep always uses exactly
+// one), each with one worker per round:
 //
-//   - Release is a token chain. The scheduler links the round's active
-//     vertices of each shard into a list in index order and hands the first
-//     one a token; every vertex runs until it yields at Round, halts, or
-//     panics, then passes the token directly to its successor (the last one
-//     wakes the scheduler). Within a shard execution is sequential in index
-//     order, while shards run concurrently; a vertex handoff costs one
-//     goroutine switch.
+//   - Release is a resume loop. Each shard's worker resumes the shard's
+//     active vertices in index order; every vertex runs until it yields at
+//     Round, halts, or panics, then switches straight back to the worker.
+//     With one shard the worker is the caller's goroutine; with several,
+//     shard 0 runs on the caller and every other shard on a goroutine of its
+//     own, so shards run concurrently while each shard is sequential.
 //   - With one shard, delivery is the scatter pass of run.go: the scheduler
 //     walks the yielded vertices in index order, tallies each staged
 //     message into Result.Stats, and writes it into its destination inbox.
 //   - With several shards, accounting is sender-side. A yielding vertex
-//     tallies its own staged outbox into its shard's Stats while it still
-//     holds the token, so the tally is race-free and the accounted multiset
-//     of messages is exactly the one the scatter pass accounts (dropped
+//     tallies its own staged outbox into its shard's Stats while its worker
+//     waits on it, so the tally is race-free and the accounted multiset of
+//     messages is exactly the one the scatter pass accounts (dropped
 //     messages included). Shard tallies are merged into Result.Stats in
 //     shard index order at every round barrier.
 //   - Multi-shard delivery is destination-sharded. Each yielding vertex bins
@@ -38,39 +33,22 @@ import (
 // seed every engine and every shard count produces byte-identical Outputs
 // and Stats (TestEnginesAgree, TestEngineFamilyProperty).
 type shard[T any] struct {
-	index  int           // position in sched.shards
-	lo, hi int           // vertex index range [lo, hi)
-	done   chan struct{} // token chain completion, capacity 1
-	stats  Stats         // sender-side tally of the current round
-	err    error         // first panic of this shard, in chain order
-	first  *proc[T]      // head of the current round's token chain
+	index  int        // position in sched.shards
+	lo, hi int        // vertex index range [lo, hi)
+	active []*proc[T] // vertices to resume this round, in index order
+	stats  Stats      // sender-side tally of the current round
+	err    error      // panic of this shard's first failing vertex
 }
 
-// release runs one round's release phase: chain the active vertices of
-// every shard, start all chains, wait for all of them to finish, then
-// surface any panic in shard index order. Multi-shard message tallies are
-// merged later, by deliverSharded, so the Stats a round-cap error reports
-// exclude the capped round exactly as the single-shard scatter pass does.
-func (s *sched[T]) release(active []*proc[T]) error {
-	for i := range s.shards {
-		s.shards[i].first = nil
-	}
-	// Link in reverse so each chain comes out in increasing index order.
-	for i := len(active) - 1; i >= 0; i-- {
-		p := active[i]
-		s.status[p.idx] = statusRunning
-		p.next = p.shard.first
-		p.shard.first = p
-	}
-	for i := range s.shards {
-		if sh := &s.shards[i]; sh.first != nil {
-			sh.first.resume <- struct{}{}
-		}
-	}
-	for i := range s.shards {
-		if s.shards[i].first != nil {
-			<-s.shards[i].done
-		}
+// release runs one round's release phase on every shard, then surfaces any
+// panic in shard index order. Multi-shard message tallies are merged later,
+// by deliverSharded, so the Stats a round-cap error reports exclude the
+// capped round exactly as the single-shard scatter pass does.
+func (s *sched[T]) release() error {
+	if len(s.shards) == 1 {
+		s.releaseShard(0) // direct call: a steady-state Lockstep round allocates nothing
+	} else {
+		s.parallel(s.releaseShard)
 	}
 	for i := range s.shards {
 		if err := s.shards[i].err; err != nil {
@@ -80,20 +58,48 @@ func (s *sched[T]) release(active []*proc[T]) error {
 	return nil
 }
 
-// yield parks a vertex at Round with its outbox staged. With one shard the
+// releaseShard resumes every active vertex of shard j in index order and
+// keeps the ones that yielded as the next round's active list. A panic ends
+// the shard's round at once: the vertices after it are not resumed, so the
+// error names the shard's first failing vertex and the run aborts at the
+// barrier.
+func (s *sched[T]) releaseShard(j int) {
+	sh := &s.shards[j]
+	kept := sh.active[:0]
+	for _, p := range sh.active {
+		p.co.next()
+		if sh.err != nil {
+			return
+		}
+		if s.status[p.idx] == statusYielded {
+			kept = append(kept, p)
+		}
+	}
+	sh.active = kept
+}
+
+// parallel runs phase for every shard — shard 0 on the caller's goroutine,
+// each other shard on a goroutine of its own — and returns when all are
+// done. The WaitGroup publishes every worker's writes to the caller.
+func (s *sched[T]) parallel(phase func(j int)) {
+	var wg sync.WaitGroup
+	for j := 1; j < len(s.shards); j++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			phase(j)
+		}()
+	}
+	phase(0)
+	wg.Wait()
+}
+
+// stage records a vertex's outbox as it yields at Round. With one shard the
 // outbox goes to the dense array the scatter delivery reads. With several
 // it tallies the outbox into the shard's round stats and bins each message
 // into the queue of its destination's shard — both in one pass, while the
-// outbox is cache-hot and the vertex holds the token — and keeps no
-// reference to the slice. Then it passes the token and blocks until the
-// next release token. If that token is
-// lifeline.kill's (the run aborted in the meantime), the goroutine unwinds
-// via runtime.Goexit, running user defers; the exiting guard keeps defers
-// that call Round during the unwind from touching the token chain again.
-func (p *proc[T]) yield(out [][]byte) {
-	if p.exiting {
-		runtime.Goexit()
-	}
+// outbox is cache-hot — and keeps no reference to the slice.
+func (p *proc[T]) stage(out [][]byte) {
 	if s := p.s; s.queues == nil {
 		s.outbox[p.idx] = out
 	} else if out != nil {
@@ -115,43 +121,13 @@ func (p *proc[T]) yield(out [][]byte) {
 		}
 	}
 	p.s.status[p.idx] = statusYielded
-	p.passToken()
-	<-p.resume
-	if p.s.life.dead.Load() {
-		p.exiting = true
-		runtime.Goexit()
-	}
-}
-
-// fail records a vertex panic against its shard (first in chain order
-// wins) and passes the token so the rest of the chain still completes the
-// round; the scheduler turns the recorded error into an abort at the next
-// round barrier.
-func (p *proc[T]) fail(panicked any) {
-	if p.shard.err == nil {
-		p.shard.err = fmt.Errorf("dist: vertex id %d panicked: %v", p.id, panicked)
-	}
-	p.s.status[p.idx] = statusDone
-	p.passToken()
-}
-
-// passToken wakes the successor in the round's chain, or reports the chain
-// complete. The send cannot block: the successor is parked (all chain
-// members are parked when the chain starts and run one at a time), and the
-// done channel has capacity 1 with exactly one completion per round.
-func (p *proc[T]) passToken() {
-	if p.next != nil {
-		p.next.resume <- struct{}{}
-	} else {
-		p.shard.done <- struct{}{}
-	}
 }
 
 // deliverSharded runs one multi-shard round's delivery phase. It folds the
 // per-shard sender-side tallies into Result.Stats in shard index order, then
 // every shard drains the message queues addressed to its own vertices, in
 // parallel. Release-phase enqueues are published to all drain workers by
-// the chain-completion barrier, and drain writes are published back by the
+// the release barrier, and drain writes are published back by the
 // WaitGroup, so the phase is race-free by construction.
 func (s *sched[T]) deliverSharded() {
 	for i := range s.shards {
@@ -160,16 +136,7 @@ func (s *sched[T]) deliverSharded() {
 		s.res.Stats.MaxMessageBytes = max(s.res.Stats.MaxMessageBytes, sh.stats.MaxMessageBytes)
 		sh.stats = Stats{}
 	}
-	var wg sync.WaitGroup
-	for j := 1; j < len(s.shards); j++ {
-		wg.Add(1)
-		go func(j int) {
-			defer wg.Done()
-			s.drainShard(j)
-		}(j)
-	}
-	s.drainShard(0)
-	wg.Wait()
+	s.parallel(s.drainShard)
 }
 
 // drainShard clears the slots this shard's previous delivery filled, then

@@ -16,10 +16,11 @@
 //     the ×Δ message-size blowup the paper contrasts with the direct §5
 //     variant — here it is measured, not just accounted.
 //
-// The virtual algorithm must be lockstep (every virtual vertex uses the same
-// number of rounds), which holds for all schedule-driven colorings in this
-// repository; the caller supplies that round count (core.LegalRounds, or a
-// native dry run on L(G)).
+// The caller supplies the virtual round budget (core.LegalRounds, or a native
+// dry run on L(G)); every schedule-driven coloring in this repository is
+// lockstep, using exactly that many rounds at every virtual vertex. Each
+// hosted virtual vertex runs as an iter.Pull coroutine of its host, resumed
+// once per virtual round.
 //
 // Buffer discipline: the relay decodes each physical inbox completely before
 // its next Round call, and the virtual payloads it forwards alias only the
@@ -30,6 +31,7 @@ package lgsim
 
 import (
 	"fmt"
+	"iter"
 	"math/rand"
 	"sort"
 
@@ -83,8 +85,12 @@ func sharedEndpoint(n, e, f int) (int, bool) {
 	return 0, false
 }
 
-// Run simulates algo — a vertex algorithm for L(G) using exactly
+// Run simulates algo — a vertex algorithm for L(G) using at most
 // virtualRounds communication rounds at every vertex — on the network G.
+// A virtual vertex that halts early stops receiving; one that is still
+// calling Round after virtualRounds rounds is a caller bug, reported as a
+// run error naming the virtual vertex, as is a panic in any virtual vertex.
+// Either way every hosted virtual vertex is unwound before Run returns.
 func Run[T any](g *graph.Graph, virtualRounds int, algo func(dist.Process) T, opts ...dist.Option) (*Result[T], error) {
 	n := g.N()
 	deltaL := lineGraphDegree(g)
@@ -161,11 +167,21 @@ type vproc[T any] struct {
 	rng    *rand.Rand
 	seed   int64
 
-	outCh  chan [][]byte
-	inCh   chan [][]byte
-	doneCh chan T
-	failCh chan interface{}
+	// The virtual vertex coroutine: next resumes it until it stages an
+	// outbox at Round or returns, stop unwinds it, and yield — called from
+	// inside — hands the outbox to the host.
+	next  func() ([][]byte, bool)
+	stop  func()
+	yield func([][]byte) bool
+	in    [][]byte // inbox the host delivered for the pending Round
+
+	val T
+	pan any // the virtual vertex's panic value, if it panicked
 }
+
+// stopVirtual is the sentinel panic that unwinds a stopped virtual vertex
+// coroutine, running its user defers.
+type stopVirtual struct{}
 
 var _ dist.Process = (*vproc[int])(nil)
 
@@ -179,8 +195,10 @@ func (p *vproc[T]) Round(out [][]byte) [][]byte {
 	if out != nil && len(out) != len(p.nbrs) {
 		panic(fmt.Sprintf("lgsim: virtual vertex %d sent %d messages on %d ports", p.vid, len(out), len(p.nbrs)))
 	}
-	p.outCh <- out
-	return <-p.inCh
+	if !p.yield(out) {
+		panic(stopVirtual{})
+	}
+	return p.in
 }
 
 func (p *vproc[T]) Broadcast(msg []byte) [][]byte {
@@ -248,7 +266,6 @@ func (h *host[T]) run() []T {
 	}
 	sort.Ints(h.myEdges)
 	results := make(map[int]T)
-	var active int
 	for p := 0; p < deg; p++ {
 		nid := v.NeighborID(p)
 		if v.ID() > nid {
@@ -288,62 +305,56 @@ func (h *host[T]) run() []T {
 		vp := &vproc[T]{
 			vid: vid, n: VirtualIDSpace(h.n), deltaL: h.deltaL,
 			nbrs: nbrs, portOf: portOf,
-			seed:   dist.VertexSeed(h.runSeed, vid),
-			outCh:  make(chan [][]byte),
-			inCh:   make(chan [][]byte),
-			doneCh: make(chan T, 1),
-			failCh: make(chan interface{}, 1),
+			seed: dist.VertexSeed(h.runSeed, vid),
 		}
-		h.procs[vid] = vp
-		active++
-		go func() {
+		vp.next, vp.stop = iter.Pull(func(yield func([][]byte) bool) {
+			vp.yield = yield
 			defer func() {
 				if r := recover(); r != nil {
-					vp.failCh <- r
+					if _, stopped := r.(stopVirtual); !stopped {
+						vp.pan = r
+					}
 				}
 			}()
-			vp.doneCh <- h.algo(vp)
-		}()
+			vp.val = h.algo(vp)
+		})
+		h.procs[vid] = vp
 	}
 	sort.Ints(h.ownedVIDs)
+	// However the host exits — done, a virtual panic re-raised below, or
+	// its own run aborted by dist — no hosted coroutine outlives it.
+	defer func() {
+		for _, vid := range h.ownedVIDs {
+			h.procs[vid].stop()
+		}
+	}()
 
 	// Drive the virtual rounds. The host participates in every physical
 	// round of the budget even after all of its own virtual vertices have
 	// halted: it may still be the relay on other hosts' 2-hop paths.
-	liveOut := make(map[int][][]byte, active)
+	liveOut := make(map[int][][]byte, len(h.ownedVIDs))
 	for r := 0; r < h.virtualRounds; r++ {
 		// Gather outboxes (or completions) from every still-active virtual.
 		for _, vid := range h.ownedVIDs {
 			if _, done := results[vid]; done {
 				continue
 			}
-			vp := h.procs[vid]
-			select {
-			case out := <-vp.outCh:
+			if out, yielded := h.step(vid, results); yielded {
 				liveOut[vid] = out
-			case val := <-vp.doneCh:
-				results[vid] = val
+			} else {
 				delete(liveOut, vid)
-			case r := <-vp.failCh:
-				// Re-panic in the host goroutine so dist converts it into a
-				// run error (the other hosted goroutines are abandoned).
-				panic(fmt.Sprintf("virtual vertex %d: %v", vid, r))
 			}
 		}
 		h.relay(liveOut, results)
 	}
-	// Collect stragglers that finish exactly at the round budget. A virtual
-	// vertex that needs more rounds than the budget indicates a caller bug
-	// (the algorithm must be lockstep with exactly virtualRounds rounds) and
-	// would block here; the budget contract is documented on Run.
+	// Collect stragglers that finish exactly at the round budget; one that
+	// calls Round again has outrun the budget the caller promised (Run).
 	for _, vid := range h.ownedVIDs {
-		if _, done := results[vid]; !done {
-			select {
-			case val := <-h.procs[vid].doneCh:
-				results[vid] = val
-			case r := <-h.procs[vid].failCh:
-				panic(fmt.Sprintf("virtual vertex %d: %v", vid, r))
-			}
+		if _, done := results[vid]; done {
+			continue
+		}
+		if _, yielded := h.step(vid, results); yielded {
+			panic(fmt.Sprintf("lgsim: virtual vertex %d needs more than %d rounds", vid, h.virtualRounds))
 		}
 	}
 	out := make([]T, len(h.ownedVIDs))
@@ -351,6 +362,21 @@ func (h *host[T]) run() []T {
 		out[i] = results[vid]
 	}
 	return out
+}
+
+// step resumes the hosted virtual vertex vid until it stages its next
+// outbox (yielded) or returns, recording its output in results. A virtual
+// panic is re-raised on the host, which dist turns into a run error.
+func (h *host[T]) step(vid int, results map[int]T) (out [][]byte, yielded bool) {
+	vp := h.procs[vid]
+	out, yielded = vp.next()
+	if vp.pan != nil {
+		panic(fmt.Sprintf("virtual vertex %d: %v", vid, vp.pan))
+	}
+	if !yielded {
+		results[vid] = vp.val
+	}
+	return out, yielded
 }
 
 // bundleEntry is one virtual message in flight.
@@ -467,7 +493,7 @@ func (h *host[T]) relay(liveOut map[int][][]byte, results map[int]T) {
 		if box == nil {
 			box = make([][]byte, len(vp.nbrs))
 		}
-		vp.inCh <- box
+		vp.in = box
 	}
 }
 

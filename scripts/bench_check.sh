@@ -9,13 +9,13 @@
 # (default 3×, loose enough for shared-runner noise; near-zero baselines are
 # floored — see cmd/benchcmp). CI runs it warn-only (BENCH_WARN_ONLY=1) so a
 # noisy runner cannot block a merge while the regression still lands in the
-# log.
+# log; warn-only never covers the exact colors-used gate, whose drift fails.
 #
 # Usage:
 #   scripts/bench_check.sh                      # full-length run, hard fail
 #   DURATION=2s scripts/bench_check.sh          # quick pass
 #   FACTOR=5 scripts/bench_check.sh             # looser gate
-#   BENCH_WARN_ONLY=1 scripts/bench_check.sh    # report, never fail (CI)
+#   BENCH_WARN_ONLY=1 scripts/bench_check.sh    # report noisy gates, fail on drift (CI)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

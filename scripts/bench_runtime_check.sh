@@ -10,13 +10,14 @@
 # for the Compiled-engine ≥10× hot-path claim: the per-engine hotpath rows sit
 # in the baseline, so losing the speedup shows up as an ns/op regression on
 # BenchmarkEngines/hotpath/compiled. CI runs it warn-only (BENCH_WARN_ONLY=1)
-# because shared runners are too noisy to block merges on wall-clock.
+# because shared runners are too noisy to block merges on wall-clock; the
+# exact LOCAL-model gates fail even then.
 #
 # Usage:
 #   scripts/bench_runtime_check.sh                    # full-length run, hard fail
 #   BENCHTIME=1x scripts/bench_runtime_check.sh       # quick pass
 #   FACTOR=5 scripts/bench_runtime_check.sh           # looser gate
-#   BENCH_WARN_ONLY=1 scripts/bench_runtime_check.sh  # report, never fail (CI)
+#   BENCH_WARN_ONLY=1 scripts/bench_runtime_check.sh  # report ns/op, fail on drift (CI)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
