@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/algreg"
+	"repro/internal/dist"
 	"repro/internal/exp"
 )
 
@@ -129,4 +130,37 @@ func TestServableBuild(t *testing.T) {
 			t.Fatalf("%s/%s: palette bound %d on a non-empty graph", a.Kind, a.Name, palette)
 		}
 	}
+}
+
+// TestKWAllocs is the allocation budget of one served vertex/be run — the
+// Procedure Legal-Color pipeline whose leaf is reduce.KWReduceColors — under
+// the Compiled engine on its small-mix graph, with the service's default
+// parameters.
+func TestKWAllocs(t *testing.T) {
+	const kwAllocBudget = 1100
+	a, ok := algreg.Lookup("vertex", "be")
+	if !ok {
+		t.Fatal("vertex/be is not registered")
+	}
+	g, err := smallMixGraphs["vertex/be"].Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := algreg.Params{B: 2, C: 2, Mode: "wide"}
+	if err := a.Canon(&p); err != nil {
+		t.Fatal(err)
+	}
+	algo, _, err := a.BuildVertex(g, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := dist.RunAlgo(g, algo, dist.WithEngine(dist.Compiled)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > kwAllocBudget {
+		t.Fatalf("vertex/be run allocates %.0f allocs/run, budget %d", allocs, kwAllocBudget)
+	}
+	t.Logf("vertex/be run: %.0f allocs/run (budget %d)", allocs, kwAllocBudget)
 }

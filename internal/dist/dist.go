@@ -10,6 +10,9 @@
 // resumes with the messages its neighbors addressed to it in the same round.
 // A vertex halts by returning from the function; its return value becomes
 // its entry in Result.Outputs and any message later sent to it is dropped.
+// Process.Idle(k) stands for k rounds of Round(nil) whose inboxes are
+// discarded: the vertex still arrives at each of those rounds, but the
+// scheduler does not resume it until the k-th is over.
 //
 // Ports. A vertex of degree d communicates over ports 0..d-1, one per
 // incident edge, ordered by increasing neighbor vertex index — exactly
@@ -117,6 +120,14 @@ type Process interface {
 	// outbox Broadcast stages is a per-vertex scratch slice that is
 	// invalidated at the next Round or Broadcast call.
 	Broadcast(msg []byte) [][]byte
+	// Idle(k) is exactly k calls of Round(nil) whose inboxes are discarded;
+	// k <= 0 is a no-op. Each idled round still counts this vertex as
+	// arrived (Stats are those of the k Round(nil) calls), and a message
+	// addressed to it in an idled round is charged to its sender and
+	// dropped. The runtime keeps the vertex suspended for all k rounds
+	// instead of resuming it once per round, so an algorithm that knows it
+	// has nothing to send or read for a while should idle.
+	Idle(k int)
 	// Rand returns this vertex's private deterministic PRNG stream, derived
 	// from the run seed (WithSeed) and the vertex identifier. Streams are
 	// reproducible across runs and engines and distinct across vertices.
@@ -139,7 +150,9 @@ type Stats struct {
 	// the sequential work measure of a run — a full run costs on the order
 	// of n·Rounds activations, while a repair confined to a k-vertex
 	// subgraph (package dynamic) costs O(k·Rounds) no matter how large the
-	// surrounding graph is. Engine-independent, like every Stats field.
+	// surrounding graph is. A round a vertex spends in Process.Idle is
+	// still one of its activations. Engine-independent, like every Stats
+	// field.
 	Activations int `json:"activations"`
 }
 

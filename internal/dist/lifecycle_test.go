@@ -3,6 +3,7 @@ package dist
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -93,6 +94,27 @@ func TestRunnerLeavesNoGoroutines(t *testing.T) {
 		}
 		if _, err := RunAlgo(g, Interpret(bomb), WithEngine(e), WithShards(3)); err == nil {
 			t.Fatalf("engine %v: want one-shot panic error", e)
+		}
+	}
+	// A panic while every other vertex sits inside Idle: the idlers are
+	// unwound too, running their user defers.
+	var deferred atomic.Int64
+	bombIdle := func(v Process) int {
+		defer deferred.Add(1)
+		if v.ID() == 9 {
+			v.Round(nil)
+			panic("bomb")
+		}
+		v.Idle(1000)
+		return 0
+	}
+	for _, e := range engines {
+		deferred.Store(0)
+		if _, err := ri.RunAlgo(Interpret(bombIdle), WithEngine(e), WithShards(3)); err == nil {
+			t.Fatalf("engine %v: want panic error", e)
+		}
+		if n := deferred.Load(); n != int64(g.N()) {
+			t.Fatalf("engine %v: %d of %d user defers ran", e, n, g.N())
 		}
 	}
 	ri.Close()

@@ -209,6 +209,7 @@ func (r *Runner[T]) prepare(cfg config, algo func(Process) T, res *Result[T]) *s
 	for _, p := range r.procs {
 		p.s = s
 		p.rng = nil
+		p.idle = 0
 		r.status[p.idx] = statusRunning
 		r.outbox[p.idx] = nil
 	}
@@ -265,7 +266,11 @@ type proc[T any] struct {
 	// defers that call Round during the unwind panic with the sentinel
 	// again instead of staging messages for a run that is over.
 	exiting bool
-	rng     *rand.Rand
+	// idle is the number of rounds, after the one it yielded in, that the
+	// vertex still sits out inside Idle: releaseShard counts it as arrived
+	// and decrements this instead of resuming it.
+	idle int
+	rng  *rand.Rand
 	// inbox is the vertex's stable round inbox: a single pooled buffer of
 	// length Deg, allocated on first use and then reused for every round
 	// of every run. Delivery rewrites only the slots it touches (clearing
@@ -325,18 +330,40 @@ func (p *proc[T]) Round(out [][]byte) [][]byte {
 		out = p.echo
 	}
 	p.stage(out)
-	if !p.co.yield(struct{}{}) {
-		// The coroutine was stopped: unwind, running user defers on the way
-		// out (any Round they call hits the exiting guard).
-		p.exiting = true
-		panic(abortRun{})
-	}
+	p.suspend()
 	if p.inbox == nil {
 		// Nothing was ever delivered to this vertex; materialize the empty
 		// inbox so the return is indexable.
 		p.inbox = make([][]byte, deg)
 	}
 	return p.inbox
+}
+
+// suspend yields the coroutine back to its shard's worker until the next
+// round it takes part in.
+func (p *proc[T]) suspend() {
+	if !p.co.yield(struct{}{}) {
+		// The coroutine was stopped: unwind, running user defers on the way
+		// out (any Round they call hits the exiting guard).
+		p.exiting = true
+		panic(abortRun{})
+	}
+}
+
+// Idle stages an empty outbox and yields once; releaseShard then keeps the
+// vertex in its shard's active list for the remaining k−1 rounds without
+// resuming it. Whatever was delivered meanwhile is cleared by the next
+// delivery, so it never surfaces.
+func (p *proc[T]) Idle(k int) {
+	if k <= 0 {
+		return
+	}
+	if p.exiting {
+		panic(abortRun{})
+	}
+	p.stage(nil)
+	p.idle = k - 1
+	p.suspend()
 }
 
 func (p *proc[T]) Broadcast(msg []byte) [][]byte {

@@ -59,14 +59,20 @@ func (s *sched[T]) release() error {
 }
 
 // releaseShard resumes every active vertex of shard j in index order and
-// keeps the ones that yielded as the next round's active list. A panic ends
-// the shard's round at once: the vertices after it are not resumed, so the
-// error names the shard's first failing vertex and the run aborts at the
-// barrier.
+// keeps the ones that yielded as the next round's active list. A vertex
+// inside Idle stays active but is not resumed: its remaining idle count
+// drops by one instead. A panic ends the shard's round at once: the
+// vertices after it are not resumed, so the error names the shard's first
+// failing vertex and the run aborts at the barrier.
 func (s *sched[T]) releaseShard(j int) {
 	sh := &s.shards[j]
 	kept := sh.active[:0]
 	for _, p := range sh.active {
+		if p.idle > 0 {
+			p.idle--
+			kept = append(kept, p)
+			continue
+		}
 		p.co.next()
 		if sh.err != nil {
 			return

@@ -212,6 +212,14 @@ func (p *vproc[T]) Broadcast(msg []byte) [][]byte {
 	return p.Round(out)
 }
 
+// Idle is k rounds of Round(nil): the host drives virtual rounds one by one,
+// so an idling virtual vertex is still resumed each round.
+func (p *vproc[T]) Idle(k int) {
+	for ; k > 0; k-- {
+		p.Round(nil)
+	}
+}
+
 func (p *vproc[T]) Rand() *rand.Rand {
 	if p.rng == nil {
 		p.rng = rand.New(rand.NewSource(p.seed))

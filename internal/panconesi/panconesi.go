@@ -15,6 +15,11 @@
 // free; each edge sees at most 2·degBound−2 forbidden colors, so the palette
 // {1..2·degBound−1} always suffices. Total: O(degBound) + O(log* n) rounds.
 //
+// A vertex sits out (dist.Process.Idle) every stage in which it has no
+// uncolored label-ℓ edge to report or to color, so once its edges are colored
+// it idles through the rest of the schedule in one call; the round count and
+// every message are those of the full schedule.
+//
 // The multi-class form colors many edge-disjoint subgraphs ("classes") at
 // once, each with its own palette {1..2·degBound−1}; classes proceed in
 // lockstep through the same stages, so the round cost does not grow with the
@@ -86,12 +91,46 @@ func EdgeColorMulti(v dist.Process, classOf []int, degBound int) []int {
 	st.parent = make([]int, len(st.classes))
 	st.used = make([]bool, len(st.classes)*st.width)
 	st.childUsed = make([]bool, st.width)
-	for l := 1; l <= degBound; l++ {
-		for j := 1; j <= stages; j++ {
-			st.stage(l, j)
+	// Stage s = (ℓ−1)·stages + (j−1) runs in schedule order; a vertex idles
+	// through each run of stages in which it has nothing to send or read.
+	total := stages * degBound
+	done := 0 // stages already spent, worked or idled
+	for s := st.nextWork(0); s < total; s = st.nextWork(done) {
+		v.Idle(2 * (s - done))
+		st.stage(s/stages+1, s%stages+1)
+		done = s + 1
+	}
+	v.Idle(2 * (total - done))
+	return st.colors
+}
+
+// nextWork returns the first stage s >= from (numbered as in
+// EdgeColorMulti) in which this vertex has work, or stages·degBound if it
+// has none left. A vertex has work in stage (ℓ, j) if it has an uncolored
+// label-ℓ parent edge (it reports its used set and waits for the parent's
+// color), or an uncolored label-ℓ child edge in a forest where its own color
+// is j (it colors the edge). Otherwise it sends nothing and ignores what it
+// receives in both rounds of the stage, so idling through them changes no
+// output, message or Stats field. Colors change only in stages the vertex
+// works, so the answer holds until the next one.
+func (st *leaf) nextWork(from int) int {
+	next := stages * st.degBound
+	for port, fid := range st.m.PortLabel {
+		if fid == forest.NoForest || st.colors[port] != 0 {
+			continue
+		}
+		first := (fid - 1) % st.degBound * stages // label ℓ's first stage
+		s := first + st.fcolors[st.m.Slot(fid)] - 1
+		if st.m.ParentPortOf(fid) == port {
+			if s = max(first, from); s >= first+stages {
+				continue
+			}
+		}
+		if s >= from && s < next {
+			next = s
 		}
 	}
-	return st.colors
+	return next
 }
 
 // leaf is one vertex's Panconesi–Rizzi state. Every per-class and per-port

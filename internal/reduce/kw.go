@@ -39,6 +39,13 @@ func KWReduceColors(v dist.Process, myColor, k, target int, active []bool) int {
 		return myColor
 	}
 	deg := v.Deg()
+	// One outbox and one neighbor table serve every round. The outbox holds
+	// the encoding of sent, re-encoded into a fresh buffer only when myColor
+	// changes: a buffer handed to Round is never written again.
+	out := make([][]byte, deg)
+	nbr := make([]int, deg)
+	var msg []byte
+	sent := 0
 	blocks := (k + target - 1) / target
 	for blocks > 1 {
 		// 0-based decomposition: color c-1 = block·target + pos.
@@ -46,13 +53,14 @@ func KWReduceColors(v dist.Process, myColor, k, target int, active []bool) int {
 		myPos := (myColor - 1) % target
 		upper := myBlock%2 == 1
 		pairLow := (myBlock / 2) * 2 // block index of the pair's lower half
-		nbr := make([]int, deg)
+		clear(nbr)
 		for j := 0; j < target; j++ {
-			out := make([][]byte, deg)
-			msg := wire.EncodeInts(myColor)
-			for p := 0; p < deg; p++ {
-				if active == nil || active[p] {
-					out[p] = msg
+			if msg == nil || myColor != sent {
+				msg, sent = wire.EncodeInts(myColor), myColor
+				for p := 0; p < deg; p++ {
+					if active == nil || active[p] {
+						out[p] = msg
+					}
 				}
 			}
 			in := v.Round(out)

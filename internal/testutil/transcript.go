@@ -40,6 +40,15 @@ func (r recorder) Broadcast(msg []byte) [][]byte {
 	return r.Round(out)
 }
 
+// Idle logs k empty rounds, exactly what k calls of Round(nil) log, so a
+// transcript does not depend on whether the algorithm idles or loops.
+func (r recorder) Idle(k int) {
+	for i := 0; i < k; i++ {
+		*r.log = binary.AppendUvarint(*r.log, 0)
+	}
+	r.Process.Idle(k)
+}
+
 // transcripts runs body at every vertex of g under Lockstep with each
 // vertex's Process wrapped in a recorder, and returns the per-vertex
 // transcripts of every message sent, indexed by identifier − 1 (g must use
