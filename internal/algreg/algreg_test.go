@@ -1,12 +1,16 @@
 package algreg_test
 
 import (
+	"errors"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/algreg"
 	"repro/internal/dist"
 	"repro/internal/exp"
+	"repro/internal/graph"
 )
 
 // TestRegistryRoundTrip: every registered algorithm is reachable back through
@@ -91,8 +95,10 @@ func TestResolveQualityKnob(t *testing.T) {
 }
 
 // TestServableBuild: every servable entry builds a runnable algorithm with a
-// positive palette bound on a small graph, after Canon fills its defaults —
-// the registry contract the service relies on.
+// positive palette bound on a small graph, after Canon fills its defaults,
+// and its Compiled run on a reused dist.Pool — the service's code path —
+// gives the Outputs and Stats of a Lockstep run. That is the registry
+// contract the service relies on.
 func TestServableBuild(t *testing.T) {
 	g, err := (exp.GraphSpec{Family: "gnm", N: 30, M: 80, Seed: 1}).Build()
 	if err != nil {
@@ -112,8 +118,8 @@ func TestServableBuild(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: BuildEdge: %v", a.Kind, a.Name, err)
 			}
-			if algo.Vertex == nil || algo.Compiled == nil {
-				t.Fatalf("%s/%s: algo missing a form (vertex %v, compiled %v)", a.Kind, a.Name, algo.Vertex != nil, algo.Compiled != nil)
+			if err := compiledMatchesLockstep(g, algo); err != nil {
+				t.Fatalf("%s/%s: %v", a.Kind, a.Name, err)
 			}
 			palette = pal
 		} else {
@@ -121,8 +127,8 @@ func TestServableBuild(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: BuildVertex: %v", a.Kind, a.Name, err)
 			}
-			if algo.Vertex == nil || algo.Compiled == nil {
-				t.Fatalf("%s/%s: algo missing a form", a.Kind, a.Name)
+			if err := compiledMatchesLockstep(g, algo); err != nil {
+				t.Fatalf("%s/%s: %v", a.Kind, a.Name, err)
 			}
 			palette = pal
 		}
@@ -130,6 +136,28 @@ func TestServableBuild(t *testing.T) {
 			t.Fatalf("%s/%s: palette bound %d on a non-empty graph", a.Kind, a.Name, palette)
 		}
 	}
+}
+
+// compiledMatchesLockstep runs algo under Compiled on a dist.Pool and under
+// Lockstep, and reports any difference in Outputs or Stats.
+func compiledMatchesLockstep[T any](g *graph.Graph, algo dist.Algo[T]) error {
+	if algo.Vertex == nil {
+		return errors.New("algo has no Vertex form")
+	}
+	want, err := dist.RunAlgo(g, algo, dist.WithEngine(dist.Lockstep))
+	if err != nil {
+		return fmt.Errorf("lockstep: %v", err)
+	}
+	pool := dist.NewPool[T](g, 1)
+	defer pool.Close()
+	got, err := pool.RunAlgo(algo, dist.WithEngine(dist.Compiled))
+	if err != nil {
+		return fmt.Errorf("compiled: %v", err)
+	}
+	if !reflect.DeepEqual(got.Outputs, want.Outputs) || got.Stats != want.Stats {
+		return fmt.Errorf("compiled run (%v) differs from lockstep (%v)", got.Stats, want.Stats)
+	}
+	return nil
 }
 
 // TestKWAllocs is the allocation budget of one served vertex/be run — the

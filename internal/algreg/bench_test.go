@@ -22,9 +22,10 @@ var smallMixGraphs = map[string]exp.GraphSpec{
 // BenchmarkServedAlgos runs every servable algorithm on its small-mix graph
 // the way the service does — through a reused dist.Pool, with the service's
 // default parameters — under the Compiled engine and under Lockstep (the
-// scheduler on a reused Runner). Together with the allocs column, the
-// compiled/lockstep pairs decide whether the interpreter a bundle built by
-// dist.Interpret runs under Compiled earns its place.
+// scheduler on a reused Runner). Under Compiled the greedy algorithms run
+// their flat passes and the others one-shot Lockstep runs on fresh Runners,
+// so the compiled/lockstep pairs price what keeping no vertex state between
+// runs costs per run.
 func BenchmarkServedAlgos(b *testing.B) {
 	for _, a := range algreg.Servable() {
 		name := a.Kind + "/" + a.Name

@@ -50,7 +50,7 @@ func init() {
 			if err != nil {
 				return dist.Algo[[]int]{}, 0, err
 			}
-			return dist.Interpret(algo), pl.TotalPalette(), nil
+			return dist.Algo[[]int]{Vertex: algo}, pl.TotalPalette(), nil
 		},
 		RunEdge: func(g *graph.Graph, p Params, opts ...dist.Option) (*dist.Result[[]int], []string, error) {
 			pl, err := core.AutoPlan(g.MaxDegree(), 2, p.B, p.P, true)
@@ -68,9 +68,9 @@ func init() {
 		Canon:   zeroPlan,
 		BuildEdge: func(g *graph.Graph, p Params) (dist.Algo[[]int], int, error) {
 			delta := g.MaxDegree()
-			return dist.Interpret(func(v dist.Process) []int {
+			return dist.Algo[[]int]{Vertex: func(v dist.Process) []int {
 				return panconesi.EdgeColorStep(v, nil, delta)
-			}), 2*delta - 1, nil
+			}}, 2*delta - 1, nil
 		},
 		RunEdge: func(g *graph.Graph, p Params, opts ...dist.Option) (*dist.Result[[]int], []string, error) {
 			res, err := panconesi.EdgeColoring(g, opts...)
@@ -150,7 +150,7 @@ func init() {
 				if g.N() > 0 {
 					palette = 1
 				}
-				return dist.Interpret(func(v dist.Process) int { return 1 }), palette, nil
+				return dist.Algo[int]{Vertex: func(v dist.Process) int { return 1 }}, palette, nil
 			}
 			pl, err := core.AutoPlan(delta, p.C, p.B, p.P, false)
 			if err != nil {
@@ -160,7 +160,7 @@ func init() {
 			if err != nil {
 				return dist.Algo[int]{}, 0, err
 			}
-			return dist.Interpret(algo), pl.TotalPalette(), nil
+			return dist.Algo[int]{Vertex: algo}, pl.TotalPalette(), nil
 		},
 		RunVertex: runLegal(core.StartIDs),
 	})

@@ -15,7 +15,8 @@ import (
 // byte-identical to the per-vertex forms under every engine. These are the
 // service's hot paths — the greedy oracle runs once per cached graph and
 // once per legality check — so they are worth hand-flattening; the
-// blocking-style pipelines go through dist.CompileProcess instead.
+// blocking-style pipelines carry no flat pass and run under the Compiled
+// engine as one-shot Lockstep runs.
 
 // GreedyVertexAlgo bundles GreedyVertexProcess with its compiled form.
 func GreedyVertexAlgo() dist.Algo[int] {

@@ -42,9 +42,10 @@ func commAlgo(v dist.Process) int {
 }
 
 // commBundle runs commAlgo on every engine: scheduled on the three scheduler
-// engines, as a one-shot Lockstep run (CompileProcess) under Compiled.
+// engines, and, having no flat pass, as a one-shot Lockstep run under
+// Compiled.
 func commBundle() dist.Algo[int] {
-	return dist.Algo[int]{Vertex: commAlgo, Compiled: dist.CompileProcess(commAlgo)}
+	return dist.Algo[int]{Vertex: commAlgo}
 }
 
 // BenchmarkEngines compares the four engines on the dense workload.
@@ -60,9 +61,10 @@ func commBundle() dist.Algo[int] {
 //
 // Scheduling is the only engine-dependent cost of the comm workloads, so the
 // Sharded advantage scales with how much the host parallelizes the shard
-// workers. Compiled under CompileProcess is a one-shot Lockstep run, so it
-// pays the coroutine setup that a reused Runner amortizes; under a
-// hand-written pass it replaces the per-vertex control flow entirely.
+// workers. Compiled runs a bundle without a flat pass as a one-shot Lockstep
+// run, so it pays the coroutine setup that a reused Runner amortizes even in
+// the "steady" group; under a hand-written pass it replaces the per-vertex
+// control flow entirely.
 func BenchmarkEngines(b *testing.B) {
 	g := denseBenchGraph()
 	for _, e := range benchEngines {
@@ -124,8 +126,8 @@ func BenchmarkEngines(b *testing.B) {
 // BenchmarkEnginesChatty is the same comparison on the original irregular
 // workload (per-vertex PRNG budgets, varint encode/decode): here the
 // algorithm's own allocations dominate, bounding how much any scheduler (or
-// CompileProcess) can matter — the realistic regime for algorithms without a
-// hand-written compiled form.
+// the Compiled engine's one-shot run) can matter — the realistic regime for
+// algorithms without a hand-written compiled form.
 func BenchmarkEnginesChatty(b *testing.B) {
 	g := denseBenchGraph()
 	algo := func(v dist.Process) int {
@@ -142,7 +144,7 @@ func BenchmarkEnginesChatty(b *testing.B) {
 		}
 		return acc
 	}
-	bundle := dist.Algo[int]{Vertex: algo, Compiled: dist.CompileProcess(algo)}
+	bundle := dist.Algo[int]{Vertex: algo}
 	for _, e := range benchEngines {
 		b.Run(fmt.Sprintf("%v", e), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

@@ -8,13 +8,13 @@ import (
 
 // This file is the Compiled engine: whole-run execution of an algorithm in
 // one call over the graph's flat CSR arrays. An algorithm opts in by
-// bundling a CompiledAlgo next to its per-vertex function (Algo): either a
-// hand-written flat pass with no per-vertex control flow, or CompileProcess,
-// which runs the per-vertex function as a one-shot Lockstep run. RunAlgo
-// dispatches to the compiled form when the Compiled engine is selected and
-// the bundle carries one, and to the ordinary scheduler otherwise.
-// Runner.Run degrades a Compiled request for a plain per-vertex function to
-// Lockstep, so the engine is always safe to ask for.
+// bundling a hand-written flat pass (CompiledAlgo) next to its per-vertex
+// function (Algo). RunAlgo dispatches to the flat pass when the Compiled
+// engine is selected and the bundle carries one, and to Runner.Run
+// otherwise. Under Compiled, Runner.Run executes a plain per-vertex function
+// as a one-shot Lockstep run on a fresh Runner whose coroutines end with the
+// run, so the engine is always safe to ask for and keeps no per-graph vertex
+// state for functions without a flat pass.
 //
 // The contract a CompiledAlgo must honor is strict byte-equality: for every
 // graph and seed its Outputs and Stats must equal those of the per-vertex
@@ -113,23 +113,15 @@ func roundCapErr(maxRounds int, s Stats) error {
 // otherwise exactly as Run(g, a.Vertex, opts...). See Run for the execution
 // contract.
 func RunAlgo[T any](g *graph.Graph, a Algo[T], opts ...Option) (*Result[T], error) {
-	cfg := config{engine: Goroutines, maxRounds: DefaultMaxRounds}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	if cfg.engine == Compiled && a.Compiled != nil {
-		return runCompiled(g, a.Compiled, cfg)
-	}
-	if a.Vertex == nil {
-		return nil, fmt.Errorf("dist: algo has no Vertex form")
-	}
-	return Run(g, a.Vertex, opts...)
+	r := NewRunner[T](g)
+	defer r.Close()
+	return r.RunAlgo(a, opts...)
 }
 
 // RunAlgo executes one bundled-algorithm run on this Runner; see RunAlgo
-// (package function) for semantics. Compiled runs touch none of the pooled
-// vertex state, so mixing compiled and scheduled runs on one Runner is
-// free.
+// (package function) for semantics. Compiled runs, flat pass or one-shot,
+// touch none of the pooled vertex state, so mixing compiled and scheduled
+// runs on one Runner is free.
 func (r *Runner[T]) RunAlgo(a Algo[T], opts ...Option) (*Result[T], error) {
 	cfg := config{engine: Goroutines, maxRounds: DefaultMaxRounds}
 	for _, o := range opts {
@@ -144,8 +136,11 @@ func (r *Runner[T]) RunAlgo(a Algo[T], opts ...Option) (*Result[T], error) {
 	return r.Run(a.Vertex, opts...)
 }
 
-// RunAlgo acquires a Runner and executes one bundled-algorithm run on it;
-// see RunAlgo (package function) for semantics.
+// RunAlgo acquires a Runner (reusing an idle one, building one under the
+// cap, or waiting for a release), executes one bundled-algorithm run on it,
+// and returns it to the pool. Runs on distinct runners proceed concurrently.
+// The result is byte-identical to RunAlgo(p.Graph(), a, opts...) — the
+// Runner contract guarantees it.
 func (p *Pool[T]) RunAlgo(a Algo[T], opts ...Option) (*Result[T], error) {
 	r := p.acquire()
 	res, err := r.RunAlgo(a, opts...)
@@ -166,43 +161,4 @@ func runCompiled[T any](g *graph.Graph, ca CompiledAlgo[T], cfg config) (*Result
 	}
 	res.Stats = stats
 	return res, nil
-}
-
-// CompileProcess adapts any per-vertex algorithm into a CompiledAlgo: each
-// RunCompiled call is a one-shot Lockstep run of the scheduler — the vertex
-// coroutines are resumed sequentially in vertex order on the caller's
-// goroutine, rounds are delivered by the single-shard scatter pass over the
-// CSR reverse-port arrays, and the coroutines end with the run, so no
-// per-graph vertex state outlives it. Outputs and Stats are byte-identical
-// to the other engines by construction: it is the same runtime.
-//
-// It is the compiled form of choice for blocking-style pipelines (the §5
-// legal edge coloring, say) where hand-flattening the control flow would
-// duplicate the algorithm; hand-written flat passes (package baseline,
-// package dynamic) remain worthwhile where the round structure is simple
-// enough to close over.
-func CompileProcess[T any](f func(Process) T) CompiledAlgo[T] {
-	return procInterp[T]{f: f}
-}
-
-// Interpret bundles a per-vertex body with its CompileProcess form: the one
-// definition runs on all four engines, the Compiled engine running it as a
-// one-shot Lockstep run. Algorithms with a hand-flattened compiled pass
-// should build their Algo explicitly instead.
-func Interpret[T any](f func(Process) T) Algo[T] {
-	return Algo[T]{Vertex: f, Compiled: CompileProcess(f)}
-}
-
-type procInterp[T any] struct {
-	f func(Process) T
-}
-
-// RunCompiled executes f as a one-shot Lockstep run writing into outputs. On
-// error the returned Stats are the ones accumulated up to the abort.
-func (pi procInterp[T]) RunCompiled(g *graph.Graph, env CompiledEnv, outputs []T) (Stats, error) {
-	r := NewRunner[T](g)
-	defer r.Close()
-	res := &Result[T]{Outputs: outputs}
-	err := r.run(config{engine: Lockstep, seed: env.Seed, maxRounds: env.MaxRounds}, pi.f, res)
-	return res.Stats, err
 }

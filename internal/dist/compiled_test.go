@@ -2,6 +2,7 @@ package dist
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -62,7 +63,7 @@ func TestCompiledPanicPropagates(t *testing.T) {
 			v.Round(nil)
 		}
 	}
-	_, err := RunAlgo(g, Algo[int]{Vertex: algo, Compiled: CompileProcess(algo)}, WithEngine(Compiled))
+	_, err := RunAlgo(g, Algo[int]{Vertex: algo}, WithEngine(Compiled))
 	if err == nil || !strings.Contains(err.Error(), "vertex id 4 panicked: kaboom") {
 		t.Fatalf("err = %v, want vertex panic", err)
 	}
@@ -93,26 +94,26 @@ func TestCompiledAbortWithRoundInDefer(t *testing.T) {
 			v.Round(nil)
 		}
 	}
-	_, err := RunAlgo(g, Algo[int]{Vertex: algo, Compiled: CompileProcess(algo)}, WithEngine(Compiled))
+	_, err := RunAlgo(g, Algo[int]{Vertex: algo}, WithEngine(Compiled))
 	if err == nil || !strings.Contains(err.Error(), "abort me") {
 		t.Fatalf("err = %v, want original panic", err)
 	}
 }
 
-// TestCompiledWrongOutboxLength: the interpreter rejects a wrong-length
+// TestCompiledWrongOutboxLength: the one-shot run rejects a wrong-length
 // outbox with the scheduler's message.
 func TestCompiledWrongOutboxLength(t *testing.T) {
 	algo := func(v Process) int {
 		v.Round(make([][]byte, v.Deg()+1))
 		return 0
 	}
-	_, err := RunAlgo(graph.Path(3), Algo[int]{Vertex: algo, Compiled: CompileProcess(algo)}, WithEngine(Compiled))
+	_, err := RunAlgo(graph.Path(3), Algo[int]{Vertex: algo}, WithEngine(Compiled))
 	if err == nil || !strings.Contains(err.Error(), "ports") {
 		t.Fatalf("err = %v, want wrong-length panic error", err)
 	}
 }
 
-// TestCompiledRoundCap: the compiled interpreter trips the round cap with
+// TestCompiledRoundCap: the one-shot compiled run trips the round cap with
 // the same error text and partial stats as the scheduled engines.
 func TestCompiledRoundCap(t *testing.T) {
 	g := graph.Cycle(5)
@@ -122,7 +123,7 @@ func TestCompiledRoundCap(t *testing.T) {
 		}
 	}
 	_, werr := Run(g, forever, WithEngine(Lockstep), WithMaxRounds(17))
-	_, gerr := RunAlgo(g, Algo[int]{Vertex: forever, Compiled: CompileProcess(forever)},
+	_, gerr := RunAlgo(g, Algo[int]{Vertex: forever},
 		WithEngine(Compiled), WithMaxRounds(17))
 	if gerr == nil || werr == nil || gerr.Error() != werr.Error() {
 		t.Fatalf("cap errors differ:\ncompiled: %v\nlockstep: %v", gerr, werr)
@@ -133,7 +134,8 @@ func TestCompiledRoundCap(t *testing.T) {
 }
 
 // TestCompiledEcho: forwarding the inbox slice back as the outbox (the echo
-// pattern) works under the interpreter exactly as under the schedulers.
+// pattern) works in the one-shot compiled run exactly as under the
+// schedulers.
 func TestCompiledEcho(t *testing.T) {
 	g := graph.Path(3)
 	algo := func(v Process) int {
@@ -151,7 +153,7 @@ func TestCompiledEcho(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunAlgo(g, Algo[int]{Vertex: algo, Compiled: CompileProcess(algo)}, WithEngine(Compiled))
+	got, err := RunAlgo(g, Algo[int]{Vertex: algo}, WithEngine(Compiled))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,8 +162,8 @@ func TestCompiledEcho(t *testing.T) {
 	}
 }
 
-// TestCompiledRandStreams: Process.Rand under the interpreter derives the
-// same per-vertex streams as the schedulers.
+// TestCompiledRandStreams: Process.Rand in the one-shot compiled run derives
+// the same per-vertex streams as the schedulers.
 func TestCompiledRandStreams(t *testing.T) {
 	g := graph.Star(9)
 	algo := func(v Process) int { return v.Rand().Intn(1 << 30) }
@@ -169,7 +171,7 @@ func TestCompiledRandStreams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunAlgo(g, Algo[int]{Vertex: algo, Compiled: CompileProcess(algo)},
+	got, err := RunAlgo(g, Algo[int]{Vertex: algo},
 		WithSeed(42), WithEngine(Compiled))
 	if err != nil {
 		t.Fatal(err)
@@ -183,7 +185,7 @@ func TestCompiledRandStreams(t *testing.T) {
 // vertices run their instances.
 func TestCompiledEmptyAndIsolated(t *testing.T) {
 	algo := func(v Process) int { return v.ID() }
-	a := Algo[int]{Vertex: algo, Compiled: CompileProcess(algo)}
+	a := Algo[int]{Vertex: algo}
 	empty, err := RunAlgo(graph.NewBuilder(0).Build(), a, WithEngine(Compiled))
 	if err != nil || len(empty.Outputs) != 0 || empty.Stats != (Stats{}) {
 		t.Fatalf("empty graph: %v %v %v", empty.Outputs, empty.Stats, err)
@@ -201,7 +203,7 @@ func TestCompiledRunnerRecoversAfterError(t *testing.T) {
 	r := NewRunner[[]int](g)
 	defer r.Close()
 	bomb := func(v Process) []int { panic("bomb") }
-	if _, err := r.RunAlgo(Algo[[]int]{Vertex: bomb, Compiled: CompileProcess(bomb)}, WithEngine(Compiled)); err == nil {
+	if _, err := r.RunAlgo(Algo[[]int]{Vertex: bomb}, WithEngine(Compiled)); err == nil {
 		t.Fatal("want error from panicking compiled run")
 	}
 	want := runChatty(t, g, WithSeed(3), WithEngine(Goroutines))
@@ -236,6 +238,79 @@ func TestPoolRunAlgo(t *testing.T) {
 	}
 }
 
+// TestCompiledLeavesNoVertexState pins the Compiled engine's one-shot rule:
+// a per-vertex function without a flat pass runs on a fresh Runner that is
+// closed with the run. So a Runner or Pool that only serves Compiled runs
+// holds no vertex procs or coroutines, and a Runner warmed by a scheduled
+// run keeps its pooled state, untouched, across Compiled runs (failed ones
+// included) for its next scheduled run. The service's graph cache holds a
+// Pool per cached graph; this rule is what keeps its memory flat.
+func TestCompiledLeavesNoVertexState(t *testing.T) {
+	g := graph.GNM(60, 200, 4)
+	bomb := Algo[[]int]{Vertex: func(v Process) []int {
+		if v.ID() == 9 {
+			panic("bomb")
+		}
+		return chatty(v)
+	}}
+	base := liveGoroutines()
+
+	r := NewRunner[[]int](g)
+	defer r.Close()
+	if _, err := r.RunAlgo(chattyAlgo(), WithEngine(Compiled)); err != nil {
+		t.Fatal(err)
+	}
+	if r.procs != nil {
+		t.Fatalf("Runner holds %d procs after a Compiled run", len(r.procs))
+	}
+	settleGoroutines(t, "Compiled run on a Runner", base, false)
+
+	p := NewPool[[]int](g, 1)
+	defer p.Close()
+	for i := 0; i < 2; i++ {
+		if _, err := p.RunAlgo(chattyAlgo(), WithEngine(Compiled)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(p.idle) != 1 || p.idle[0].procs != nil {
+		t.Fatalf("Pool keeps vertex state after Compiled runs (%d idle runners)", len(p.idle))
+	}
+	settleGoroutines(t, "Compiled runs on a Pool", base, false)
+
+	want := runChatty(t, g, WithEngine(Lockstep))
+	if _, err := r.RunAlgo(chattyAlgo(), WithEngine(Lockstep)); err != nil {
+		t.Fatal(err)
+	}
+	procs := slices.Clone(r.procs)
+	coros := make([]*coro, len(procs))
+	for i, pr := range procs {
+		coros[i] = pr.co
+	}
+	warm := liveGoroutines()
+	if _, err := r.RunAlgo(chattyAlgo(), WithEngine(Compiled)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.RunAlgo(bomb, WithEngine(Compiled)); err == nil {
+		t.Fatal("want error from panicking compiled run")
+	}
+	settleGoroutines(t, "Compiled runs on a warmed Runner", warm, false)
+	got, err := r.RunAlgo(chattyAlgo(), WithEngine(Lockstep))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Outputs, want.Outputs) || got.Stats != want.Stats {
+		t.Fatal("warmed Runner diverged after Compiled runs")
+	}
+	if !slices.Equal(r.procs, procs) {
+		t.Fatal("Compiled runs replaced the warmed Runner's procs")
+	}
+	for i, pr := range r.procs {
+		if pr.co != coros[i] {
+			t.Fatalf("vertex %d runs a new coroutine after Compiled runs", i)
+		}
+	}
+}
+
 // TestTallyAccounting: Tally reproduces the scheduler's accounting order —
 // a capped round's activations are counted, its messages are not.
 func TestTallyAccounting(t *testing.T) {
@@ -263,52 +338,10 @@ func TestTallyAccounting(t *testing.T) {
 	}
 }
 
-// FuzzCompiledAgree fuzzes the interpreter's message-buffer indexing: an
-// arbitrary graph (built from the byte stream) runs chatty under the
-// interpreter and under Lockstep, and the two must agree byte for byte —
-// any reverse-port or inbox-slot confusion in the compiled delivery shows
-// up as a diff.
-func FuzzCompiledAgree(f *testing.F) {
-	f.Add(6, []byte{0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 0}, int64(0))
-	f.Add(8, []byte{0, 1, 0, 2, 0, 3, 1, 2, 4, 5, 6, 7, 2, 6}, int64(3))
-	f.Add(1, []byte{}, int64(1))
-	f.Fuzz(func(t *testing.T, n int, stream []byte, seed int64) {
-		if n < 0 || n > 48 {
-			return
-		}
-		if len(stream) > 128 {
-			stream = stream[:128]
-		}
-		b := graph.NewBuilder(n)
-		for i := 0; i+1 < len(stream); i += 2 {
-			if n > 0 {
-				b.TryAddEdge(int(stream[i])%n, int(stream[i+1])%n)
-			}
-		}
-		g := b.Build()
-		want, werr := Run(g, chatty, WithSeed(seed), WithEngine(Lockstep))
-		got, gerr := RunAlgo(g, chattyAlgo(), WithSeed(seed), WithEngine(Compiled))
-		if (werr == nil) != (gerr == nil) {
-			t.Fatalf("error mismatch: lockstep %v, compiled %v", werr, gerr)
-		}
-		if werr != nil {
-			if werr.Error() != gerr.Error() {
-				t.Fatalf("error text mismatch: %v vs %v", werr, gerr)
-			}
-			return
-		}
-		if !reflect.DeepEqual(got.Outputs, want.Outputs) {
-			t.Fatalf("outputs diverged on n=%d stream=%v", n, stream)
-		}
-		if got.Stats != want.Stats {
-			t.Fatalf("stats diverged: %v vs %v", got.Stats, want.Stats)
-		}
-	})
-}
-
 // TestCompiledMessageRules: per-port selective sends (including sends to
-// already-halted destinations) account and deliver identically under the
-// interpreter. The early-halting vertex makes the drop path load-bearing.
+// already-halted destinations) account and deliver identically in the
+// one-shot compiled run. The early-halting vertex makes the drop path
+// load-bearing.
 func TestCompiledMessageRules(t *testing.T) {
 	algo := func(v Process) []int {
 		if v.ID()%3 == 0 {
@@ -343,7 +376,7 @@ func TestCompiledMessageRules(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := RunAlgo(g, Algo[[]int]{Vertex: algo, Compiled: CompileProcess(algo)}, WithEngine(Compiled))
+		got, err := RunAlgo(g, Algo[[]int]{Vertex: algo}, WithEngine(Compiled))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -34,10 +34,11 @@
 //   - Lockstep uses exactly one shard, resumed on the caller's goroutine: no
 //     two vertex instances ever run simultaneously, and every round resumes
 //     the vertices in index order.
-//   - Compiled runs algorithms that carry a whole-graph form (RunAlgo) as
-//     flat passes over the graph arrays and falls back to Lockstep for a
-//     plain per-vertex function. CompileProcess gives any per-vertex
-//     function such a form: a one-shot Lockstep run.
+//   - Compiled runs algorithms that carry a hand-written whole-graph form
+//     (RunAlgo) as flat passes over the graph arrays. Any other per-vertex
+//     function runs as a one-shot Lockstep run on a fresh Runner: its
+//     coroutines end with the run, so a reused Runner or Pool keeps no
+//     vertex state for it.
 //
 // For a fixed graph and seed all engines produce byte-identical
 // Result.Outputs and Result.Stats: scheduling differs, the computation does
@@ -193,9 +194,10 @@ const (
 	// parallel delivery. Identical to Goroutines.
 	Sharded
 	// Compiled executes algorithms that carry a CompiledAlgo form (see Algo
-	// and RunAlgo) as tight whole-graph passes over the flat CSR arrays and
-	// degrades to Lockstep for plain per-vertex functions. Outputs and Stats are byte-identical to the other engines;
-	// only wall-clock changes.
+	// and RunAlgo) as tight whole-graph passes over the flat CSR arrays, and
+	// plain per-vertex functions as one-shot Lockstep runs. Outputs and
+	// Stats are byte-identical to the other engines; only wall-clock and
+	// memory change.
 	Compiled
 )
 

@@ -43,11 +43,14 @@ func chatty(v Process) []int {
 	return history
 }
 
-// chattyAlgo bundles chatty with an interpreter-compiled form, so the
-// Compiled engine runs it as a flat pass while the other engines schedule
-// the plain function — the four-engine agreement tests all route through it.
+// Chatty exports chatty to the external test package (FuzzCompiledAgree).
+var Chatty = chatty
+
+// chattyAlgo bundles chatty without a flat pass, so the Compiled engine runs
+// it as a one-shot Lockstep run while the other engines schedule it on their
+// shards — the four-engine agreement tests all route through it.
 func chattyAlgo() Algo[[]int] {
-	return Algo[[]int]{Vertex: chatty, Compiled: CompileProcess(chatty)}
+	return Algo[[]int]{Vertex: chatty}
 }
 
 func runChatty(t *testing.T, g *graph.Graph, opts ...Option) *Result[[]int] {

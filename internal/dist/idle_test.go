@@ -59,8 +59,8 @@ func idleBody(idle func(Process, int)) func(Process) []int {
 	}
 }
 
-// idleVariants runs body on every engine and shard count, and through
-// CompileProcess.
+// idleVariants runs body on every engine and shard count, Compiled (a
+// one-shot Lockstep run) included.
 func idleVariants(g *graph.Graph, body func(Process) []int, opts ...Option) map[string]func() (*Result[[]int], error) {
 	run := func(extra ...Option) func() (*Result[[]int], error) {
 		return func() (*Result[[]int], error) { return Run(g, body, append(extra, opts...)...) }
@@ -72,7 +72,7 @@ func idleVariants(g *graph.Graph, body func(Process) []int, opts ...Option) map[
 		"sharded-2":  run(WithEngine(Sharded), WithShards(2)),
 		"sharded-8":  run(WithEngine(Sharded), WithShards(8)),
 		"compiled": func() (*Result[[]int], error) {
-			return RunAlgo(g, Algo[[]int]{Vertex: body, Compiled: CompileProcess(body)},
+			return RunAlgo(g, Algo[[]int]{Vertex: body},
 				append([]Option{WithEngine(Compiled)}, opts...)...)
 		},
 	}

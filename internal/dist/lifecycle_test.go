@@ -92,7 +92,7 @@ func TestRunnerLeavesNoGoroutines(t *testing.T) {
 		if _, err := ri.Run(forever, WithEngine(e), WithShards(3), WithMaxRounds(5)); err == nil {
 			t.Fatalf("engine %v: want round-cap error", e)
 		}
-		if _, err := RunAlgo(g, Interpret(bomb), WithEngine(e), WithShards(3)); err == nil {
+		if _, err := RunAlgo(g, Algo[int]{Vertex: bomb}, WithEngine(e), WithShards(3)); err == nil {
 			t.Fatalf("engine %v: want one-shot panic error", e)
 		}
 	}
@@ -110,7 +110,7 @@ func TestRunnerLeavesNoGoroutines(t *testing.T) {
 	}
 	for _, e := range engines {
 		deferred.Store(0)
-		if _, err := ri.RunAlgo(Interpret(bombIdle), WithEngine(e), WithShards(3)); err == nil {
+		if _, err := ri.RunAlgo(Algo[int]{Vertex: bombIdle}, WithEngine(e), WithShards(3)); err == nil {
 			t.Fatalf("engine %v: want panic error", e)
 		}
 		if n := deferred.Load(); n != int64(g.N()) {
@@ -127,7 +127,7 @@ func TestRunnerLeavesNoGoroutines(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := p.Run(poolAlgo, WithEngine(engines[i]), WithShards(3)); err != nil {
+			if _, err := p.RunAlgo(Algo[int]{Vertex: poolAlgo}, WithEngine(engines[i]), WithShards(3)); err != nil {
 				t.Error(err)
 			}
 		}()

@@ -57,17 +57,6 @@ func NewPool[T any](g *graph.Graph, max int) *Pool[T] {
 // Graph returns the graph the pool's runners execute on.
 func (p *Pool[T]) Graph() *graph.Graph { return p.g }
 
-// Run acquires a Runner (reusing an idle one, building one under the cap, or
-// waiting for a release), executes one run on it, and returns it to the pool.
-// Runs on distinct runners proceed concurrently. The result is byte-identical
-// to dist.Run(g, algo, opts...) — the Runner contract guarantees it.
-func (p *Pool[T]) Run(algo func(Process) T, opts ...Option) (*Result[T], error) {
-	r := p.acquire()
-	res, err := r.Run(algo, opts...)
-	p.release(r)
-	return res, err
-}
-
 func (p *Pool[T]) acquire() *Runner[T] {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -41,9 +41,9 @@ func TestPoolMatchesRun(t *testing.T) {
 		seed   int64
 		engine Engine
 	}
-	jobs := make([]job, 0, 24)
+	jobs := make([]job, 0, 32)
 	for seed := int64(0); seed < 4; seed++ {
-		for _, e := range []Engine{Goroutines, Lockstep, Sharded} {
+		for _, e := range []Engine{Goroutines, Lockstep, Sharded, Compiled} {
 			jobs = append(jobs, job{seed, e}, job{seed + 100, e})
 		}
 	}
@@ -62,7 +62,7 @@ func TestPoolMatchesRun(t *testing.T) {
 		wg.Add(1)
 		go func(i int, j job) {
 			defer wg.Done()
-			res, err := p.Run(poolAlgo, WithSeed(j.seed), WithEngine(j.engine))
+			res, err := p.RunAlgo(Algo[int]{Vertex: poolAlgo}, WithSeed(j.seed), WithEngine(j.engine))
 			if err != nil {
 				errs[i] = err
 				return
@@ -100,10 +100,10 @@ func TestPoolFailedRunRecovers(t *testing.T) {
 	g := graph.Cycle(8)
 	p := NewPool[int](g, 1)
 	defer p.Close()
-	if _, err := p.Run(func(v Process) int { panic("boom") }); err == nil {
+	if _, err := p.RunAlgo(Algo[int]{Vertex: func(v Process) int { panic("boom") }}); err == nil {
 		t.Fatal("want error from panicking run")
 	}
-	res, err := p.Run(poolAlgo, WithSeed(1))
+	res, err := p.RunAlgo(Algo[int]{Vertex: poolAlgo}, WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestPoolCloseReleasesBlockedAcquirers(t *testing.T) {
 	hold := p.acquire() // saturate the cap so the next acquire blocks
 	done := make(chan error, 1)
 	go func() {
-		_, err := p.Run(poolAlgo)
+		_, err := p.RunAlgo(Algo[int]{Vertex: poolAlgo})
 		done <- err
 	}()
 	for p.Stats().Waits == 0 { // wait until the goroutine is parked

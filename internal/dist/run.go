@@ -104,40 +104,36 @@ func (r *Runner[T]) clearStale() {
 }
 
 // Run executes one run; see Run (package function) for semantics.
+//
+// A failed run is closed before the error is returned: the coroutines parked
+// inside Round are stopped, so no aborted vertex still runs user code, and
+// the next run rebuilds the pooled state from scratch.
 func (r *Runner[T]) Run(algo func(Process) T, opts ...Option) (*Result[T], error) {
 	cfg := config{engine: Goroutines, maxRounds: DefaultMaxRounds}
 	for _, o := range opts {
 		o(&cfg)
 	}
 	if cfg.engine == Compiled {
-		// A plain per-vertex function carries no compiled form; the Compiled
-		// engine degrades to Lockstep (RunAlgo dispatches opted-in algorithms
-		// before reaching here).
+		// A plain per-vertex function has no flat pass (RunAlgo dispatches
+		// those before reaching here), so the Compiled engine runs it as a
+		// one-shot Lockstep run on a fresh Runner: its coroutines end with
+		// the run, and r's pooled state is left untouched.
 		cfg.engine = Lockstep
+		r = NewRunner[T](r.g)
+		defer r.Close()
 	}
 	if cfg.engine != Goroutines && cfg.engine != Lockstep && cfg.engine != Sharded {
 		return nil, fmt.Errorf("dist: unknown engine %v", cfg.engine)
 	}
 	res := &Result[T]{Outputs: make([]T, r.g.N())}
-	if err := r.run(cfg, algo, res); err != nil {
+	if r.g.N() == 0 {
+		return res, nil
+	}
+	if err := r.prepare(cfg, algo, res).run(); err != nil {
+		r.Close()
 		return nil, err
 	}
 	return res, nil
-}
-
-// run executes one run into res. A failed run is closed before the error
-// is returned: the coroutines parked inside Round are stopped, so no aborted
-// vertex still runs user code, and the next run rebuilds the pooled state
-// from scratch.
-func (r *Runner[T]) run(cfg config, algo func(Process) T, res *Result[T]) error {
-	if r.g.N() == 0 {
-		return nil
-	}
-	err := r.prepare(cfg, algo, res).run()
-	if err != nil {
-		r.Close()
-	}
-	return err
 }
 
 // prepare resets the pooled per-vertex state for one run and binds it to a
@@ -429,7 +425,7 @@ type sched[T any] struct {
 }
 
 // run drives rounds until every vertex has halted, a vertex panics, or the
-// round cap trips. On error the caller (Runner.run) stops the coroutines.
+// round cap trips. On error the caller (Runner.Run) stops the coroutines.
 func (s *sched[T]) run() error {
 	for {
 		if err := s.release(); err != nil {

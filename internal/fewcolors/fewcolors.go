@@ -59,10 +59,11 @@ func Process() func(dist.Process) []int {
 	return vertex
 }
 
-// Algo bundles Process with its generic compiled form, runnable on all four
-// engines including the service's flat-array hot path.
+// Algo bundles Process for dist.RunAlgo and the service's runner pools. It
+// has no flat pass, so under the Compiled engine it runs as a one-shot
+// Lockstep run.
 func Algo() dist.Algo[[]int] {
-	return dist.Interpret(vertex)
+	return dist.Algo[[]int]{Vertex: vertex}
 }
 
 func vertex(v dist.Process) []int {

@@ -95,15 +95,15 @@ func TestMessagesDeterministic(t *testing.T) {
 	})
 }
 
-// TestLeafAllocs is the allocation budget of one interpreted
-// Panconesi–Rizzi run under the Compiled engine on regular(48,4).
+// TestLeafAllocs is the allocation budget of one Panconesi–Rizzi run under
+// the Compiled engine (a one-shot Lockstep run) on regular(48,4).
 func TestLeafAllocs(t *testing.T) {
 	const leafAllocBudget = 2700
 	g := graph.RandomRegular(48, 4, 2)
 	delta := g.MaxDegree()
-	algo := dist.Interpret(func(v dist.Process) []int {
+	algo := dist.Algo[[]int]{Vertex: func(v dist.Process) []int {
 		return EdgeColorStep(v, nil, delta)
-	})
+	}}
 	allocs := testing.AllocsPerRun(20, func() {
 		if _, err := dist.RunAlgo(g, algo, dist.WithEngine(dist.Compiled)); err != nil {
 			t.Fatal(err)
