@@ -9,7 +9,7 @@ FUZZTIME ?= 10s
 
 .PHONY: build test race vet fmt cover bench bench-smoke bench-service bench-service-smoke bench-check \
 	bench-runtime-check bench-cluster-smoke fuzz-smoke fuzz-builder fuzz-wire-roundtrip fuzz-wire-reader \
-	fuzz-dist-compiled fuzz-wal
+	fuzz-dist-compiled fuzz-dynamic-compiled fuzz-wal
 
 build:
 	$(GO) build ./...
@@ -76,11 +76,13 @@ fuzz-wire-reader:
 	$(GO) test -fuzz FuzzReader -fuzztime $(FUZZTIME) -run '^$$' ./internal/wire/
 fuzz-dist-compiled:
 	$(GO) test -fuzz FuzzCompiledAgree -fuzztime $(FUZZTIME) -run '^$$' ./internal/dist/
+fuzz-dynamic-compiled:
+	$(GO) test -fuzz FuzzRepairCompiledAgree -fuzztime $(FUZZTIME) -run '^$$' ./internal/dynamic/
 fuzz-wal:
 	$(GO) test -fuzz FuzzWALReplay -fuzztime $(FUZZTIME) -run '^$$' ./internal/wal/
 
 # Short fuzz pass over all targets.
-fuzz-smoke: fuzz-builder fuzz-wire-roundtrip fuzz-wire-reader fuzz-dist-compiled fuzz-wal
+fuzz-smoke: fuzz-builder fuzz-wire-roundtrip fuzz-wire-reader fuzz-dist-compiled fuzz-dynamic-compiled fuzz-wal
 
 # Real-binary 3-node cluster smoke: colord x3 + colorgate over loopback,
 # byte-stability, full-cluster SIGKILL recovery, and a loadgen pass through

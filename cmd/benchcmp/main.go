@@ -57,8 +57,9 @@ type report struct {
 
 // exactRuntimeMetrics are the deterministic LOCAL-model metrics of a runtime
 // benchmark: same code, same graph, same seed means byte-identical runs, so
-// any drift is a real behavior change.
-var exactRuntimeMetrics = []string{"rounds", "msgBytes", "colors", "maxMsgB", "defect", "depth", "delta"}
+// any drift is a real behavior change. activations is dist.Stats.Activations,
+// the sequential work count of a run.
+var exactRuntimeMetrics = []string{"rounds", "msgBytes", "colors", "maxMsgB", "defect", "depth", "delta", "activations"}
 
 func main() {
 	if err := run(os.Args[1:]); err != nil {

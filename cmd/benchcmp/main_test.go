@@ -43,6 +43,8 @@ func TestGates(t *testing.T) {
 			map[string]float64{"ns/op": 100, "rounds": 8}, map[string]float64{"ns/op": 100, "rounds": 9}, false, "drifted"},
 		{"runtime msgBytes drift warn", "runtime",
 			map[string]float64{"ns/op": 100, "msgBytes": 64}, map[string]float64{"ns/op": 100, "msgBytes": 65}, true, "drifted"},
+		{"runtime activations drift warn", "runtime",
+			map[string]float64{"ns/op": 100, "activations": 2575}, map[string]float64{"ns/op": 100, "activations": 2576}, true, "drifted"},
 		{"runtime colors drift warn", "runtime",
 			map[string]float64{"colors": 20}, map[string]float64{"colors": 19}, true, "drifted"},
 		{"service allocs warn", "service",

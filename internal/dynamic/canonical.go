@@ -26,6 +26,17 @@
 // so scheduling cannot leak into the output). TestCanonicalRunMatches pins
 // the two against each other on every generator family.
 //
+// # The frontier invariant
+//
+// Adjacency lists are sorted (graph.Build's CSR layout, pinned by
+// TestCSRInvariants), so the edges lexicographically below (v, u), v < u,
+// are exactly v's ports below u plus u's ports below v. Every edge waits for
+// those, so at every vertex the decided edges — live, or as last broadcast —
+// form a prefix of its adjacency. The compiled repair pass (repairCompiled)
+// follows each prefix with one frontier pointer, tries only the first
+// undecided port of a vertex, and takes each edge's mex once, instead of
+// rescanning every undecided edge's neighborhood every round.
+//
 // # The repair-region contract
 //
 // Because the canonical coloring is a fixpoint of a local equation, a
@@ -56,28 +67,63 @@ import (
 // coloring is byte-compared against.
 func CanonicalColors(g *graph.Graph) []int {
 	colors := make([]int, g.M())
-	used := make(map[int]bool)
+	var used colorSet
 	for id, e := range g.Edges() {
-		clear(used)
+		used.reset()
 		for _, w := range [2]int{e.U, e.V} {
 			for _, f := range g.IncidentEdgeIDs(w) {
 				if int(f) < id {
-					used[colors[f]] = true
+					used.add(colors[f])
 				}
 			}
 		}
-		colors[id] = mex(used)
+		colors[id] = used.mex()
 	}
 	return colors
 }
 
-// mex returns the smallest color >= 1 not marked used.
-func mex(used map[int]bool) int {
-	for c := 1; ; c++ {
-		if !used[c] {
-			return c
-		}
+// colorSet is a reusable set of colors >= 1 backed by a stamp slice:
+// emptying it bumps an epoch instead of clearing a map, so taking the mex of
+// an edge's neighborhood costs one pass over it. Colors are palette-bounded,
+// so the slice grows to the largest color added and stays there. Call reset
+// before the first use.
+type colorSet struct {
+	stamp []uint32
+	epoch uint32
+}
+
+// reset empties the set.
+func (s *colorSet) reset() {
+	s.epoch++
+	if s.epoch == 0 { // wrapped: old stamps would alias the new epoch
+		clear(s.stamp)
+		s.epoch = 1
 	}
+}
+
+// add inserts c; colors below 1 (0 = undecided) are ignored.
+func (s *colorSet) add(c int) {
+	if c < 1 {
+		return
+	}
+	if c >= len(s.stamp) {
+		s.stamp = append(s.stamp, make([]uint32, c+1-len(s.stamp))...)
+	}
+	s.stamp[c] = s.epoch
+}
+
+// has reports whether c is in the set.
+func (s *colorSet) has(c int) bool {
+	return c >= 1 && c < len(s.stamp) && s.stamp[c] == s.epoch
+}
+
+// mex returns the smallest color >= 1 not in the set.
+func (s *colorSet) mex() int {
+	c := 1
+	for s.has(c) {
+		c++
+	}
+	return c
 }
 
 // CanonicalRun computes CanonicalColors(g) as a distributed run: every edge

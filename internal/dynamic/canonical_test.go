@@ -69,3 +69,28 @@ func TestCanonicalRunMatches(t *testing.T) {
 		}
 	}
 }
+
+// TestColorSet: the stamp-slice set answers mex and membership like the map
+// it replaced, ignores non-colors, and survives its epoch wrapping around.
+func TestColorSet(t *testing.T) {
+	var s colorSet
+	s.reset()
+	if got := s.mex(); got != 1 {
+		t.Fatalf("empty mex = %d, want 1", got)
+	}
+	for _, c := range []int{0, -4, 1, 2, 4, 9} {
+		s.add(c)
+	}
+	if got := s.mex(); got != 3 {
+		t.Fatalf("mex = %d, want 3", got)
+	}
+	if s.has(0) || s.has(3) || !s.has(9) || s.has(100) {
+		t.Fatal("membership wrong")
+	}
+	s.epoch = ^uint32(0) // next reset wraps
+	s.stamp[1] = 1       // would alias epoch 1 without the clear on wrap
+	s.reset()
+	if s.has(1) || s.mex() != 1 {
+		t.Fatal("stale stamp survived the epoch wrap")
+	}
+}

@@ -25,6 +25,19 @@ func repairBundle(sub *graph.Graph, forbidden [][]int) dist.Algo[[]int] {
 // reproducing the synchronous visibility (and therefore the decision rounds,
 // message sizes, and Stats) of the scheduled run byte for byte.
 //
+// The decide phase rests on the frontier invariant. Adjacency is sorted
+// (graph.Build's CSR layout, pinned by TestCSRInvariants), so the edges
+// lexicographically below the owned edge (v,u), v < u, are exactly v's
+// ports below u's port at v, plus u's ports below v's port at u. Edges
+// are decided in that order at both endpoints, so a vertex's decided ports
+// — live or as last broadcast — always form a prefix of its adjacency. Two
+// lazily advanced pointers track the prefixes: live[v], the first port of v
+// whose live color is 0, and snap[u], the first port of u still undecided in
+// u's last broadcast. A vertex tries only port live[v], decides it only when
+// it owns it and snap[u] has reached v's slot, and takes the mex once per
+// edge — so a run costs O(rounds·active·Δ + m·Δ), not a rescan of every
+// undecided edge's neighborhood every round.
+//
 // Like repairAlgo, it requires the default identifier assignment, so
 // identifier order and index order agree.
 type repairCompiled struct {
@@ -53,15 +66,15 @@ func (rc *repairCompiled) RunCompiled(g *graph.Graph, env dist.CompiledEnv, out 
 		nbrLen[v] = sum
 	}
 	msgLen := make([]int, n)
-	undecided := make([]int, n)
+	live := make([]int, n) // first port of v whose live color is 0
+	snap := make([]int, n) // first port of v undecided in its last broadcast
 	dirty := make([]bool, n)
 	active := make([]int32, 0, n)
 	for v := 0; v < n; v++ {
-		undecided[v] = g.Deg(v)
 		dirty[v] = true // the initial view must be announced before halting
 		active = append(active, int32(v))
 	}
-	used := make(map[int]bool)
+	var used colorSet
 	t := env.NewTally()
 	for len(active) > 0 {
 		if err := t.StartRound(len(active)); err != nil {
@@ -90,66 +103,54 @@ func (rc *repairCompiled) RunCompiled(g *graph.Graph, env dist.CompiledEnv, out 
 			base := off[v]
 			deg := off[v+1] - base
 			nbrs := g.Neighbors(v)
-			eids := g.IncidentEdgeIDs(v)
-			// Learn decisions of edges owned by the far endpoint.
-			for q := 0; q < deg; q++ {
+			// Learn decisions of edges owned by the far endpoint: by sorted
+			// adjacency, the ports to neighbors below v.
+			for q := live[v]; q < deg && int(nbrs[q]) < v; q++ {
 				slot := base + q
-				if col[slot] != 0 || int(nbrs[q]) > v {
+				if col[slot] != 0 {
 					continue
 				}
 				if c := sent[rev[slot]]; c != 0 {
 					col[slot] = c
-					undecided[v]--
 					dirty[v] = true
 				}
 			}
-			// Decide owned edges whose lexicographic frontier is quiet.
-			for q := 0; q < deg; q++ {
+			// Decide owned edges in port order while the frontier is quiet.
+			for ; live[v] < deg; live[v]++ {
+				q := live[v]
 				slot := base + q
-				other := int(nbrs[q])
-				if col[slot] != 0 || other < v {
+				if col[slot] != 0 {
 					continue
 				}
-				clear(used)
-				for _, c := range rc.forbidden[eids[q]] {
-					used[c] = true
+				u := int(nbrs[q])
+				if u < v {
+					break // owned by u: learned, never decided here
 				}
-				blocked := false
-				for r := 0; r < deg && !blocked; r++ {
-					far := int(nbrs[r])
-					if r == q || !lexLessPair(v, far, v, other) {
-						continue
-					}
-					if c := col[base+r]; c == 0 {
-						blocked = true
-					} else {
-						used[int(c)] = true
-					}
-				}
-				u := other
 				ub := off[u]
-				unbrs := g.Neighbors(u)
-				for j, udeg := 0, off[u+1]-ub; j < udeg && !blocked; j++ {
-					far := int(unbrs[j])
-					if far == v || !lexLessPair(other, far, v, other) {
-						continue
-					}
-					if c := sent[ub+j]; c == 0 {
-						blocked = true
-					} else {
-						used[int(c)] = true
-					}
+				at := int(rev[slot]) // v's slot at u
+				for ub+snap[u] < at && sent[ub+snap[u]] != 0 {
+					snap[u]++
 				}
-				if !blocked {
-					col[slot] = int32(mex(used))
-					undecided[v]--
-					dirty[v] = true
+				if ub+snap[u] < at {
+					break // a smaller edge at u is still undecided
 				}
+				used.reset()
+				for _, c := range rc.forbidden[g.IncidentEdgeIDs(v)[q]] {
+					used.add(c)
+				}
+				for s := base; s < slot; s++ {
+					used.add(int(col[s]))
+				}
+				for s := ub; s < at; s++ {
+					used.add(int(sent[s]))
+				}
+				col[slot] = int32(used.mex())
+				dirty[v] = true
 			}
 		}
 		next := active[:0]
 		for _, vv := range active {
-			if v := int(vv); undecided[v] > 0 || dirty[v] {
+			if v := int(vv); live[v] < off[v+1]-off[v] || dirty[v] {
 				next = append(next, vv)
 			}
 		}
@@ -164,19 +165,4 @@ func (rc *repairCompiled) RunCompiled(g *graph.Graph, env dist.CompiledEnv, out 
 		out[v] = cs
 	}
 	return t.Stats, nil
-}
-
-// lexLessPair reports whether edge (a1,b1) precedes (a2,b2) after
-// canonicalizing endpoint order — repairAlgo's lexLess.
-func lexLessPair(a1, b1, a2, b2 int) bool {
-	if a1 > b1 {
-		a1, b1 = b1, a1
-	}
-	if a2 > b2 {
-		a2, b2 = b2, a2
-	}
-	if a1 != a2 {
-		return a1 < a2
-	}
-	return b1 < b2
 }

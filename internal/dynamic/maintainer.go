@@ -143,6 +143,7 @@ type Maintainer struct {
 
 	// scratch reused across repairs
 	nbrBuf []int32
+	used   colorSet
 }
 
 // New builds a Maintainer over base (which must carry default vertex
@@ -363,25 +364,24 @@ func (m *Maintainer) repair(seeds []graph.Edge) (Report, []ChangedColor, error) 
 // are processed in lexicographic order (a min-heap), and propagation only
 // ever pushes successors, so when an edge is evaluated all lexicographically
 // smaller colors are final — the staged set is exactly the set of edges on
-// which the canonical colorings of the old and new graphs differ.
+// which the canonical colorings of the old and new graphs differ. For the
+// same reason no edge is pushed again once popped, so the copies of an edge
+// pushed twice pop back to back and need no visited set.
 func (m *Maintainer) discover(seeds []graph.Edge) ([]graph.Edge, map[graph.Edge]int) {
 	staged := make(map[graph.Edge]int)
 	var dirty []graph.Edge
 	h := &edgeHeap{}
-	pushed := make(map[graph.Edge]bool)
-	push := func(e graph.Edge) {
-		if !pushed[e] {
-			pushed[e] = true
-			h.push(e)
-		}
-	}
 	for _, e := range seeds {
-		push(e)
+		h.push(e)
 	}
-	used := make(map[int]bool)
+	var last graph.Edge // U < V for every edge, so the zero Edge is none
 	for h.len() > 0 {
 		e := h.pop()
-		clear(used)
+		if e == last {
+			continue // pushed twice: its copies pop back to back
+		}
+		last = e
+		m.used.reset()
 		for _, w := range [2]int{e.U, e.V} {
 			m.nbrBuf = m.ov.AppendNeighbors(w, m.nbrBuf[:0])
 			for _, x := range m.nbrBuf {
@@ -390,20 +390,20 @@ func (m *Maintainer) discover(seeds []graph.Edge) ([]graph.Edge, map[graph.Edge]
 					continue
 				}
 				if c, ok := staged[f]; ok {
-					used[c] = true
+					m.used.add(c)
 				} else {
-					used[m.colors[f]] = true
+					m.used.add(m.colors[f])
 				}
 			}
 		}
-		newC := mex(used)
+		newC := m.used.mex()
 		if newC == m.colors[e] { // 0 for a new edge, so an insert always stages
 			continue
 		}
 		staged[e] = newC
 		dirty = append(dirty, e)
 		for _, f := range m.incidentSuccessors(e) {
-			push(f)
+			h.push(f)
 		}
 	}
 	sort.Slice(dirty, func(i, j int) bool { return lexLessEdge(dirty[i], dirty[j]) })
@@ -439,10 +439,10 @@ func (m *Maintainer) repairSubgraph(dirty []graph.Edge) (*graph.Graph, []int, []
 	sub := b.Build()
 	forbidden := make([][]int, sub.M())
 	boundarySet := make(map[graph.Edge]bool)
-	used := make(map[int]bool)
 	for id, se := range sub.Edges() {
 		e := canonEdge(origVerts[se.U], origVerts[se.V])
-		clear(used)
+		m.used.reset()
+		top, k := 0, 0 // largest and number of distinct boundary colors of e
 		for _, w := range [2]int{e.U, e.V} {
 			m.nbrBuf = m.ov.AppendNeighbors(w, m.nbrBuf[:0])
 			for _, x := range m.nbrBuf {
@@ -451,15 +451,19 @@ func (m *Maintainer) repairSubgraph(dirty []graph.Edge) (*graph.Graph, []int, []
 					continue
 				}
 				boundarySet[f] = true
-				used[m.colors[f]] = true
+				if c := m.colors[f]; !m.used.has(c) {
+					m.used.add(c)
+					top, k = max(top, c), k+1
+				}
 			}
 		}
-		if len(used) > 0 {
-			fb := make([]int, 0, len(used))
-			for c := range used {
-				fb = append(fb, c)
+		if k > 0 {
+			fb := make([]int, 0, k) // filled in ascending order: sorted
+			for c := 1; c <= top; c++ {
+				if m.used.has(c) {
+					fb = append(fb, c)
+				}
 			}
-			sort.Ints(fb)
 			forbidden[id] = fb
 		}
 	}

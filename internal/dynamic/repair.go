@@ -42,7 +42,7 @@ func repairAlgo(sub *graph.Graph, forbidden [][]int) func(dist.Process) []int {
 		// port q: flat (farEndpoint, color) pairs for each of its incident
 		// edges; nil until its first message arrives.
 		view := make([][]int, deg)
-		used := make(map[int]bool)
+		var used colorSet
 
 		// lexLess reports whether edge (a1,b1) precedes (a2,b2)
 		// lexicographically after canonicalizing endpoint order.
@@ -114,9 +114,9 @@ func repairAlgo(sub *graph.Graph, forbidden [][]int) func(dist.Process) []int {
 				if colors[q] != 0 || other < me {
 					continue
 				}
-				clear(used)
+				used.reset()
 				for _, c := range forbidden[eids[q]] {
-					used[c] = true
+					used.add(c)
 				}
 				blocked := view[q] == nil
 				for r := 0; r < deg && !blocked; r++ {
@@ -126,7 +126,7 @@ func repairAlgo(sub *graph.Graph, forbidden [][]int) func(dist.Process) []int {
 					if colors[r] == 0 {
 						blocked = true
 					} else {
-						used[colors[r]] = true
+						used.add(colors[r])
 					}
 				}
 				for i := 0; i+1 < len(view[q]) && !blocked; i += 2 {
@@ -137,11 +137,11 @@ func repairAlgo(sub *graph.Graph, forbidden [][]int) func(dist.Process) []int {
 					if c == 0 {
 						blocked = true
 					} else {
-						used[c] = true
+						used.add(c)
 					}
 				}
 				if !blocked {
-					colors[q] = mex(used)
+					colors[q] = used.mex()
 					dirty = true
 				}
 			}

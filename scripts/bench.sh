@@ -8,7 +8,9 @@
 # benchmarks emit one row per engine per workload
 # (BenchmarkEngines/{fresh,steady,hotpath}/{goroutines,lockstep,sharded,compiled}),
 # so BENCH_runtime.json shows the whole engine trajectory — including the
-# compiled hot-path speedup — side by side.
+# compiled hot-path speedup — side by side. The internal/dynamic rows cover
+# the mutation path: the canonical run every session starts with, a
+# batched window stream through Maintainer.Apply, and WAL replay.
 #
 # Usage:
 #   scripts/bench.sh                 # full run, writes BENCH_runtime.json
@@ -22,6 +24,6 @@ OUT="${OUT:-BENCH_runtime.json}"
 TXT="$(mktemp)"
 trap 'rm -f "$TXT"' EXIT
 
-go test -run '^$' -bench . -benchmem -benchtime "$BENCHTIME" . ./internal/dist/ | tee "$TXT"
+go test -run '^$' -bench . -benchmem -benchtime "$BENCHTIME" . ./internal/dist/ ./internal/dynamic/ | tee "$TXT"
 go run ./cmd/benchjson < "$TXT" > "$OUT"
 echo "wrote $OUT" >&2
