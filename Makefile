@@ -7,7 +7,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build test race vet fmt cover bench bench-smoke bench-service bench-service-smoke bench-check \
+.PHONY: build test race vet fmt cover loc bench bench-smoke bench-service bench-service-smoke bench-check \
 	bench-runtime-check bench-cluster-smoke fuzz-smoke fuzz-builder fuzz-wire-roundtrip fuzz-wire-reader \
 	fuzz-dist-compiled fuzz-dynamic-compiled fuzz-wal
 
@@ -30,6 +30,12 @@ fmt:
 # internal/dist); fails under the floor. CI runs this.
 cover:
 	scripts/cover.sh
+
+# Non-test Go lines per package, the repo module and the nested colordbench
+# module totalled separately. scripts/loc.sh REV adds the delta since a git
+# revision, the number a deletion states. Informational: gates nothing.
+loc:
+	scripts/loc.sh
 
 # Full benchmark pass: root artifact benchmarks + internal/dist engine and
 # runner benchmarks, exported as BENCH_runtime.json (ns/op, B/op, allocs/op,

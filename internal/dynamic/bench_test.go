@@ -12,20 +12,18 @@ var churnBase = exp.GraphSpec{Family: "gnm", N: 128, M: 384, Seed: 1}
 
 // BenchmarkCanonicalRun measures the full canonical run a session create
 // starts with, as Maintainer.New runs it: the repair bundle over the whole
-// base graph under Compiled on a reused runner pool. rounds, activations and
-// msgBytes are the run's deterministic LOCAL-model cost.
+// base graph under Compiled. rounds, activations and msgBytes are the run's
+// deterministic LOCAL-model cost.
 func BenchmarkCanonicalRun(b *testing.B) {
 	g, err := churnBase.Build()
 	if err != nil {
 		b.Fatal(err)
 	}
-	pool := dist.NewPool[[]int](g, 1)
-	defer pool.Close()
 	var stats dist.Stats
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, stats, err = CanonicalRun(g, pool.RunAlgo, dist.WithEngine(dist.Compiled)); err != nil {
+		if _, stats, err = CanonicalRun(g, dist.WithEngine(dist.Compiled)); err != nil {
 			b.Fatal(err)
 		}
 	}

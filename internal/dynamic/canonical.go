@@ -129,15 +129,9 @@ func (s *colorSet) mex() int {
 // CanonicalRun computes CanonicalColors(g) as a distributed run: every edge
 // is treated as dirty with no external constraints, so the repair algorithm
 // degenerates to the full canonical computation. Returns the merged per-edge
-// colors and the run's cost. Callers with a reusable runner pool over g pass
-// it as run; a nil run falls back to dist.Run.
-func CanonicalRun(g *graph.Graph, run RunFunc, opts ...dist.Option) ([]int, dist.Stats, error) {
-	if run == nil {
-		run = func(a dist.Algo[[]int], opts ...dist.Option) (*dist.Result[[]int], error) {
-			return dist.RunAlgo(g, a, opts...)
-		}
-	}
-	res, err := run(repairBundle(g, make([][]int, g.M())), opts...)
+// colors and the run's cost.
+func CanonicalRun(g *graph.Graph, opts ...dist.Option) ([]int, dist.Stats, error) {
+	res, err := dist.RunAlgo(g, repairBundle(g, make([][]int, g.M())), opts...)
 	if err != nil {
 		return nil, dist.Stats{}, err
 	}
@@ -150,9 +144,3 @@ func CanonicalRun(g *graph.Graph, run RunFunc, opts ...dist.Option) ([]int, dist
 	}
 	return colors, res.Stats, nil
 }
-
-// RunFunc executes one distributed run of a bundled edge algorithm; it is
-// the shape shared by dist.RunAlgo, Runner.RunAlgo, and Pool.RunAlgo bound
-// to a graph. Passing the bundle (rather than a bare per-vertex function)
-// lets pooled runs execute the compiled form under dist.Compiled.
-type RunFunc func(a dist.Algo[[]int], opts ...dist.Option) (*dist.Result[[]int], error)

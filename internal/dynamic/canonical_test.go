@@ -56,7 +56,7 @@ func TestCanonicalRunMatches(t *testing.T) {
 		g := f.g()
 		want := CanonicalColors(g)
 		for _, e := range engines {
-			got, stats, err := CanonicalRun(g, nil, dist.WithEngine(e), dist.WithShards(3))
+			got, stats, err := CanonicalRun(g, dist.WithEngine(e), dist.WithShards(3))
 			if err != nil {
 				t.Fatalf("%s/%v: %v", f.name, e, err)
 			}

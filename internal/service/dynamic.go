@@ -74,7 +74,7 @@ type MutateResponse struct {
 }
 
 // sessionTable is the bounded LRU of live dynamic sessions. Eviction closes
-// the evicted maintainer — its runner pools and its state.
+// the evicted maintainer and drops its state.
 type sessionTable struct {
 	mu      sync.Mutex
 	cap     int
@@ -351,27 +351,36 @@ func (s *Service) mutate(req MutateRequest, detail bool) (*MutateResponse, Outco
 		}
 		return nil, "", err
 	}
+	// One atomic read of the post-apply state: a concurrent mutation of the
+	// session must not land between the fingerprint, the shape and the
+	// colors of one response.
+	var (
+		fp          graph.Fingerprint
+		n, m, delta int
+		colors      []int
+	)
+	if req.Colors || detail {
+		fp, n, m, delta, colors = sess.mt.Snapshot()
+	} else {
+		fp, n, m, delta = sess.mt.Shape()
+	}
 	totals := sess.mt.Stats()
 	resp := &MutateResponse{
 		Session:     req.Session,
-		Fingerprint: sess.mt.Fingerprint().String(),
-		N:           sess.mt.N(),
-		M:           sess.mt.M(),
-		Delta:       sess.mt.MaxDegree(),
+		Fingerprint: fp.String(),
+		N:           n,
+		M:           m,
+		Delta:       delta,
 		Applied:     applied,
 		Repair:      &rep,
 		Totals:      &totals,
 	}
 	if req.Colors {
-		resp.Colors = sess.mt.Colors()
-		resp.NumColors = graph.CountColors(resp.Colors)
+		resp.Colors = colors
+		resp.NumColors = graph.CountColors(colors)
 	}
 	if detail {
-		used := resp.NumColors
-		if !req.Colors {
-			used = graph.CountColors(sess.mt.Colors())
-		}
-		fillRepairDetail(resp, used)
+		fillRepairDetail(resp, graph.CountColors(colors))
 	}
 	return resp, Miss, nil
 }

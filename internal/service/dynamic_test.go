@@ -302,3 +302,52 @@ func TestMutateConcurrent(t *testing.T) {
 		t.Fatal("shared session diverged from canonical recompute")
 	}
 }
+
+// TestMutateResponsesNotTorn: a mutate response reads its fingerprint, shape
+// and colors as one snapshot, so a concurrent mutation of the same session
+// cannot land between them. Four writers each toggle a distinct non-edge of
+// one session, asking for the colors every time; every response's coloring
+// must cover exactly its own edge count.
+func TestMutateResponsesNotTorn(t *testing.T) {
+	s := New(Config{Workers: 4})
+	defer s.Close()
+	g, err := baseSpec().Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var toggles [][2]int
+	for u := 0; u < g.N() && len(toggles) < 4; u++ {
+		if v := g.N() - 1 - u; u < v && !g.HasEdge(u, v) {
+			toggles = append(toggles, [2]int{u, v})
+		}
+	}
+	if len(toggles) < 4 {
+		t.Fatalf("found %d non-edges to toggle, want 4", len(toggles))
+	}
+	if _, _, err := s.Mutate(MutateRequest{Session: "torn", Base: baseSpec()}); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for _, e := range toggles {
+		wg.Add(1)
+		go func(u, v int) {
+			defer wg.Done()
+			for i := 0; i < 300; i++ {
+				op := exp.Mutation{Op: exp.OpInsert, U: u, V: v}
+				if i%2 == 1 {
+					op.Op = exp.OpDelete
+				}
+				resp, _, err := s.Mutate(MutateRequest{Session: "torn", Ops: []exp.Mutation{op}, Colors: true})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if len(resp.Colors) != resp.M {
+					t.Errorf("torn response: %d colors for m=%d (fingerprint %s)", len(resp.Colors), resp.M, resp.Fingerprint)
+					return
+				}
+			}
+		}(e[0], e[1])
+	}
+	wg.Wait()
+}
