@@ -1,6 +1,6 @@
 // Command colord is the coloring daemon: a long-running HTTP/JSON service
 // that serves deterministic edge- and vertex-coloring requests on top of the
-// dist runtime, with a per-graph runner pool, single-flight coalescing of
+// dist runtime, with a bounded worker stage, single-flight coalescing of
 // concurrent misses, and a deterministic result cache (see internal/service).
 //
 // Usage:

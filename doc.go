@@ -19,9 +19,9 @@
 // Determinism makes the algorithms servable: cmd/colord is a long-running
 // HTTP/JSON coloring daemon (internal/service) with a deterministic result
 // cache keyed by canonical graph fingerprints, single-flight coalescing of
-// concurrent misses, and per-graph pools of reusable runners; cmd/loadgen drives it with mixed
-// closed-loop workloads and exports latency/throughput measurements as
-// BENCH_service.json. Locality makes them maintainable: internal/dynamic
+// concurrent misses, and a bounded worker stage of one-shot runs; cmd/loadgen
+// drives it with mixed closed-loop workloads and exports latency/throughput
+// measurements as BENCH_service.json. Locality makes them maintainable: internal/dynamic
 // keeps a legal edge coloring across edge insertions and deletions by
 // running the dist engines on only the induced repair region (POST
 // /v1/mutate serves named mutable graph sessions; loadgen's churn mode

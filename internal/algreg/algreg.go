@@ -59,8 +59,10 @@ type Algorithm struct {
 	Canon func(p *Params) error
 	// BuildEdge/BuildVertex construct the runnable algorithm for a graph and
 	// return it with its palette bound for that instance. Exactly one is set
-	// on a servable entry, matching Kind; the returned Algo carries both the
-	// per-vertex and the compiled form, so it runs on all four engines.
+	// on a servable entry, matching Kind. The returned Algo runs on all four
+	// engines: it always carries the per-vertex form, and a compiled flat
+	// pass only where one exists (the greedy baselines); without one,
+	// Compiled runs it as a one-shot Lockstep run.
 	BuildEdge   func(g *graph.Graph, p Params) (dist.Algo[[]int], int, error)
 	BuildVertex func(g *graph.Graph, p Params) (dist.Algo[int], int, error)
 

@@ -96,9 +96,9 @@ func TestResolveQualityKnob(t *testing.T) {
 
 // TestServableBuild: every servable entry builds a runnable algorithm with a
 // positive palette bound on a small graph, after Canon fills its defaults,
-// and its Compiled run on a reused dist.Pool — the service's code path —
-// gives the Outputs and Stats of a Lockstep run. That is the registry
-// contract the service relies on.
+// and its Compiled dist.RunAlgo — the service's code path — gives the
+// Outputs and Stats of a Lockstep run. That is the registry contract the
+// service relies on.
 func TestServableBuild(t *testing.T) {
 	g, err := (exp.GraphSpec{Family: "gnm", N: 30, M: 80, Seed: 1}).Build()
 	if err != nil {
@@ -138,8 +138,8 @@ func TestServableBuild(t *testing.T) {
 	}
 }
 
-// compiledMatchesLockstep runs algo under Compiled on a dist.Pool and under
-// Lockstep, and reports any difference in Outputs or Stats.
+// compiledMatchesLockstep runs algo under Compiled and under Lockstep, and
+// reports any difference in Outputs or Stats.
 func compiledMatchesLockstep[T any](g *graph.Graph, algo dist.Algo[T]) error {
 	if algo.Vertex == nil {
 		return errors.New("algo has no Vertex form")
@@ -148,9 +148,7 @@ func compiledMatchesLockstep[T any](g *graph.Graph, algo dist.Algo[T]) error {
 	if err != nil {
 		return fmt.Errorf("lockstep: %v", err)
 	}
-	pool := dist.NewPool[T](g, 1)
-	defer pool.Close()
-	got, err := pool.RunAlgo(algo, dist.WithEngine(dist.Compiled))
+	got, err := dist.RunAlgo(g, algo, dist.WithEngine(dist.Compiled))
 	if err != nil {
 		return fmt.Errorf("compiled: %v", err)
 	}

@@ -6,6 +6,7 @@ import (
 	"repro/internal/algreg"
 	"repro/internal/dist"
 	"repro/internal/exp"
+	"repro/internal/graph"
 )
 
 // smallMixGraphs names each servable algorithm's graph in loadgen's small
@@ -20,8 +21,8 @@ var smallMixGraphs = map[string]exp.GraphSpec{
 }
 
 // BenchmarkServedAlgos runs every servable algorithm on its small-mix graph
-// the way the service does — through a reused dist.Pool, with the service's
-// default parameters — under the Compiled engine and under Lockstep (the
+// with the service's default parameters, under the Compiled engine the way
+// the service does — one dist.RunAlgo per request — and under Lockstep (the
 // scheduler on a reused Runner). Under Compiled the greedy algorithms run
 // their flat passes and the others one-shot Lockstep runs on fresh Runners,
 // so the compiled/lockstep pairs price what keeping no vertex state between
@@ -50,29 +51,13 @@ func BenchmarkServedAlgos(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			pool := dist.NewPool[[]int](g, 1)
-			defer pool.Close()
-			run = func(e dist.Engine) (dist.Stats, error) {
-				res, err := pool.RunAlgo(algo, dist.WithEngine(e))
-				if err != nil {
-					return dist.Stats{}, err
-				}
-				return res.Stats, nil
-			}
+			run = servedRun(b, g, algo)
 		} else {
 			algo, _, err := a.BuildVertex(g, p)
 			if err != nil {
 				b.Fatal(err)
 			}
-			pool := dist.NewPool[int](g, 1)
-			defer pool.Close()
-			run = func(e dist.Engine) (dist.Stats, error) {
-				res, err := pool.RunAlgo(algo, dist.WithEngine(e))
-				if err != nil {
-					return dist.Stats{}, err
-				}
-				return res.Stats, nil
-			}
+			run = servedRun(b, g, algo)
 		}
 		for _, e := range []dist.Engine{dist.Compiled, dist.Lockstep} {
 			b.Run(name+"/"+e.String(), func(b *testing.B) {
@@ -86,5 +71,26 @@ func BenchmarkServedAlgos(b *testing.B) {
 				b.ReportMetric(float64(st.Rounds), "rounds")
 			})
 		}
+	}
+}
+
+// servedRun returns one run of algo on g per call: a Compiled run goes
+// through dist.RunAlgo, as the service's misses do; any other engine runs on
+// one Runner reused across calls.
+func servedRun[T any](b *testing.B, g *graph.Graph, algo dist.Algo[T]) func(dist.Engine) (dist.Stats, error) {
+	r := dist.NewRunner[T](g)
+	b.Cleanup(r.Close)
+	return func(e dist.Engine) (dist.Stats, error) {
+		var res *dist.Result[T]
+		var err error
+		if e == dist.Compiled {
+			res, err = dist.RunAlgo(g, algo, dist.WithEngine(e))
+		} else {
+			res, err = r.RunAlgo(algo, dist.WithEngine(e))
+		}
+		if err != nil {
+			return dist.Stats{}, err
+		}
+		return res.Stats, nil
 	}
 }

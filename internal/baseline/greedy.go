@@ -29,7 +29,7 @@ func GreedyVertexColoring(g *graph.Graph, opts ...dist.Option) (*dist.Result[int
 }
 
 // GreedyVertexProcess is the per-vertex body of GreedyVertexColoring,
-// exported for callers that execute on a reusable dist.Runner or dist.Pool.
+// exported for callers that bundle it into a dist.Algo (GreedyVertexAlgo).
 func GreedyVertexProcess(v dist.Process) int {
 	deg := v.Deg()
 	waiting := 0
@@ -74,7 +74,7 @@ func GreedyEdgeColoring(g *graph.Graph, opts ...dist.Option) (*dist.Result[[]int
 }
 
 // GreedyEdgeProcess is the per-vertex body of GreedyEdgeColoring, exported
-// for callers that execute on a reusable dist.Runner or dist.Pool.
+// for callers that bundle it into a dist.Algo (GreedyEdgeAlgo).
 func GreedyEdgeProcess(v dist.Process) []int { return greedyEdgeVertex(v) }
 
 // edgeKey orders edges by ⟨min id, max id⟩.

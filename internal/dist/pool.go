@@ -27,8 +27,8 @@ type PoolStats struct {
 // amortizes per-vertex runtime state across runs but must not be used
 // concurrently; a Pool lends out idle Runners to concurrent callers, building
 // new ones on demand up to a cap and blocking further callers until a runner
-// frees up. It is the execution substrate of the coloring service: one Pool
-// per (cached graph, output type), shared by every worker.
+// frees up. It pays only for scheduled runs: a Compiled run touches no Runner
+// state, so under Compiled a Pool hands out empty Runners.
 type Pool[T any] struct {
 	g   *graph.Graph
 	max int

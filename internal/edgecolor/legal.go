@@ -30,8 +30,8 @@ func LegalEdgeColoring(g *graph.Graph, pl *core.Plan, mode MsgMode, opts ...dist
 
 // LegalEdgeProcess returns the per-vertex body of LegalEdgeColoring for a
 // graph of maximum degree delta, validated against the plan. Callers that
-// execute on a reusable dist.Runner or dist.Pool (the coloring service) use
-// it to get the exact algorithm LegalEdgeColoring would run.
+// bundle it into a dist.Algo (the algorithm registry, and so the coloring
+// service) use it to get the exact algorithm LegalEdgeColoring would run.
 func LegalEdgeProcess(delta int, pl *core.Plan, mode MsgMode) (func(dist.Process) []int, error) {
 	if !pl.Edge {
 		return nil, fmt.Errorf("edgecolor: vertex-mode plan passed to LegalEdgeProcess")

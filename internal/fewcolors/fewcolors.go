@@ -59,9 +59,9 @@ func Process() func(dist.Process) []int {
 	return vertex
 }
 
-// Algo bundles Process for dist.RunAlgo and the service's runner pools. It
-// has no flat pass, so under the Compiled engine it runs as a one-shot
-// Lockstep run.
+// Algo bundles Process for dist.RunAlgo, which the service runs. It has no
+// flat pass, so under the Compiled engine it runs as a one-shot Lockstep
+// run.
 func Algo() dist.Algo[[]int] {
 	return dist.Algo[[]int]{Vertex: vertex}
 }

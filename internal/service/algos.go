@@ -11,7 +11,7 @@ import (
 // resolve validates a request against its built graph and returns the
 // canonical form: algorithm resolved through the registry (including the
 // quality knob), defaults filled, cache key derived, and a runner closure
-// bound to the entry's pools. All parameter validation happens here, before
+// bound to the entry's graph. All parameter validation happens here, before
 // the request is queued — exec-time failures are limited to genuine runtime
 // errors (vertex panics, round caps).
 func (s *Service) resolve(req Request) (*canonReq, error) {
@@ -110,12 +110,12 @@ func (c *canonReq) baseRecord(palette int) *record {
 	}
 }
 
-// edgeRunner executes an edge algorithm (per-vertex port colorings) on the
-// entry's []int pool, merges the two endpoint views, and legality-checks the
-// result before it can reach the cache.
+// edgeRunner executes an edge algorithm (per-vertex port colorings) as a
+// one-shot run on the entry's graph, merges the two endpoint views, and
+// legality-checks the result before it can reach the cache.
 func edgeRunner(algo dist.Algo[[]int], palette int) func(*canonReq) (*record, error) {
 	return func(c *canonReq) (*record, error) {
-		res, err := c.entry.slices().RunAlgo(algo, c.opts...)
+		res, err := dist.RunAlgo(c.entry.g, algo, c.opts...)
 		if err != nil {
 			return nil, err
 		}
@@ -135,10 +135,10 @@ func edgeRunner(algo dist.Algo[[]int], palette int) func(*canonReq) (*record, er
 	}
 }
 
-// vertexRunner is edgeRunner's vertex-coloring counterpart on the int pool.
+// vertexRunner is edgeRunner's vertex-coloring counterpart.
 func vertexRunner(algo dist.Algo[int], palette int) func(*canonReq) (*record, error) {
 	return func(c *canonReq) (*record, error) {
-		res, err := c.entry.ints().RunAlgo(algo, c.opts...)
+		res, err := dist.RunAlgo(c.entry.g, algo, c.opts...)
 		if err != nil {
 			return nil, err
 		}

@@ -4,15 +4,13 @@ import (
 	"container/list"
 	"sync"
 
-	"repro/internal/dist"
 	"repro/internal/exp"
 	"repro/internal/graph"
 )
 
-// graphEntry is one cached built graph together with the runner pools that
-// execute on it: one pool per output type (vertex algorithms return int,
-// edge algorithms return per-port []int). Pools are created lazily — a
-// graph only ever asked for edge colorings never builds vertex runners.
+// graphEntry is one cached built graph, with the memoized cache keys of the
+// requests made against it. Runs on it are one-shot dist.RunAlgo calls, so
+// the entry holds no per-vertex runtime state between requests.
 type graphEntry struct {
 	spec exp.GraphSpec
 
@@ -20,11 +18,6 @@ type graphEntry struct {
 	g    *graph.Graph
 	fp   graph.Fingerprint
 	err  error
-
-	mu       sync.Mutex // guards lazy pool creation
-	maxRun   int
-	poolInt  *dist.Pool[int]
-	poolInts *dist.Pool[[]int]
 
 	keyMu sync.RWMutex // guards keys
 	keys  map[algKey]keyMemo
@@ -80,78 +73,29 @@ func (e *graphEntry) cachedKey(ak algKey, req *Request) (string, uint64) {
 
 func (e *graphEntry) build() {
 	e.once.Do(func() {
-		g, err := e.spec.Build()
-		var fp graph.Fingerprint
-		if err == nil {
-			fp = g.Fingerprint()
+		e.g, e.err = e.spec.Build()
+		if e.err == nil {
+			e.fp = e.g.Fingerprint()
 		}
-		// Publish under mu as well: request paths order through the Once,
-		// but statz snapshots peek at entries they never built.
-		e.mu.Lock()
-		e.g, e.fp, e.err = g, fp, err
-		e.mu.Unlock()
 	})
 }
 
-func (e *graphEntry) ints() *dist.Pool[int] {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.poolInt == nil {
-		e.poolInt = dist.NewPool[int](e.g, e.maxRun)
-	}
-	return e.poolInt
-}
-
-func (e *graphEntry) slices() *dist.Pool[[]int] {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.poolInts == nil {
-		e.poolInts = dist.NewPool[[]int](e.g, e.maxRun)
-	}
-	return e.poolInts
-}
-
-func (e *graphEntry) close() {
-	e.mu.Lock()
-	pi, ps := e.poolInt, e.poolInts
-	e.poolInt, e.poolInts = nil, nil
-	e.mu.Unlock()
-	if pi != nil {
-		pi.Close()
-	}
-	if ps != nil {
-		ps.Close()
-	}
-}
-
-// PoolSnapshot reports one cached graph's runner pools in /statz.
-type PoolSnapshot struct {
-	Graph    string         `json:"graph"`
-	N        int            `json:"n"`
-	M        int            `json:"m"`
-	Vertex   dist.PoolStats `json:"vertexPool"`
-	PortWise dist.PoolStats `json:"edgePool"`
-}
-
 // graphCache is a bounded LRU of built graphs keyed by the canonical spec
-// string. Eviction closes the entry's runner pools (runs in flight finish on
-// their acquired runners; the pool just stops recycling them).
+// string. Eviction just drops the entry: runs in flight keep their own
+// reference to the graph.
 type graphCache struct {
 	mu      sync.Mutex
 	cap     int
-	maxRun  int // runner cap per pool, forwarded to entries
 	order   *list.List
 	entries map[string]*list.Element
-	builds  int64
 }
 
-func newGraphCache(capacity, maxRunners int) *graphCache {
+func newGraphCache(capacity int) *graphCache {
 	if capacity <= 0 {
 		capacity = 1
 	}
 	return &graphCache{
 		cap:     capacity,
-		maxRun:  maxRunners,
 		order:   list.New(),
 		entries: make(map[string]*list.Element, capacity),
 	}
@@ -165,15 +109,13 @@ func (gc *graphCache) get(spec exp.GraphSpec) (*graphEntry, error) {
 	gc.mu.Lock()
 	el, ok := gc.entries[key]
 	if !ok {
-		el = gc.order.PushFront(&graphEntry{spec: spec, maxRun: gc.maxRun})
+		el = gc.order.PushFront(&graphEntry{spec: spec})
 		gc.entries[key] = el
-		gc.builds++
 		for gc.order.Len() > gc.cap {
 			last := gc.order.Back()
 			ent := last.Value.(*graphEntry)
 			gc.order.Remove(last)
 			delete(gc.entries, ent.spec.String())
-			defer ent.close()
 		}
 	} else {
 		gc.order.MoveToFront(el)
@@ -184,7 +126,7 @@ func (gc *graphCache) get(spec exp.GraphSpec) (*graphEntry, error) {
 	if entry.err != nil {
 		// A failed spec must not occupy a slot of the bounded cache: a
 		// stream of distinct garbage specs would otherwise evict every
-		// warm graph (and its runner pools).
+		// warm graph.
 		gc.mu.Lock()
 		if cur, ok := gc.entries[key]; ok && cur.Value.(*graphEntry) == entry {
 			gc.order.Remove(cur)
@@ -193,44 +135,4 @@ func (gc *graphCache) get(spec exp.GraphSpec) (*graphEntry, error) {
 		gc.mu.Unlock()
 	}
 	return entry, entry.err
-}
-
-// snapshot lists the cached graphs and their pool stats, most recently used
-// first.
-func (gc *graphCache) snapshot() []PoolSnapshot {
-	gc.mu.Lock()
-	defer gc.mu.Unlock()
-	out := make([]PoolSnapshot, 0, gc.order.Len())
-	for el := gc.order.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*graphEntry)
-		ps := PoolSnapshot{Graph: e.spec.String()}
-		e.mu.Lock()
-		if e.g != nil {
-			ps.N, ps.M = e.g.N(), e.g.M()
-		}
-		if e.poolInt != nil {
-			ps.Vertex = e.poolInt.Stats()
-		}
-		if e.poolInts != nil {
-			ps.PortWise = e.poolInts.Stats()
-		}
-		e.mu.Unlock()
-		out = append(out, ps)
-	}
-	return out
-}
-
-// close closes every cached entry's pools.
-func (gc *graphCache) close() {
-	gc.mu.Lock()
-	ents := make([]*graphEntry, 0, gc.order.Len())
-	for el := gc.order.Front(); el != nil; el = el.Next() {
-		ents = append(ents, el.Value.(*graphEntry))
-	}
-	gc.order.Init()
-	gc.entries = map[string]*list.Element{}
-	gc.mu.Unlock()
-	for _, e := range ents {
-		e.close()
-	}
 }

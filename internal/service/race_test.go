@@ -22,7 +22,8 @@ import (
 // directResponse computes the reference answer for req the way the CLIs do:
 // build the graph, one fresh single-threaded dist.Run on the default engine,
 // merge, validate. It shares no execution machinery with the service (no
-// pools, no cache, no single-flight), so agreement is evidence, not tautology.
+// registry, no cache, no single-flight), so agreement is evidence, not
+// tautology.
 func directResponse(t *testing.T, req Request) []byte {
 	t.Helper()
 	g, err := req.Graph.Build()
@@ -108,9 +109,9 @@ func directResponse(t *testing.T, req Request) []byte {
 	return b
 }
 
-// TestStatsDuringBuilds pins the statz/build synchronization: snapshots
-// taken while other goroutines are building graph entries for the first
-// time must not race on the entry's graph pointer (-race enforces).
+// TestStatsDuringBuilds: statz snapshots taken while another goroutine
+// builds graph entries and runs misses on them must not race with either
+// (-race enforces).
 func TestStatsDuringBuilds(t *testing.T) {
 	s := New(testConfig())
 	defer s.Close()
@@ -143,7 +144,8 @@ func TestStatsDuringBuilds(t *testing.T) {
 // algorithms, engines, seeds, graphs — plus deliberate duplicates to drive
 // the coalescing and cache-hit paths), and every single response must be
 // byte-identical to a fresh single-threaded dist.Run of the same request.
-// Run under -race this also validates the single-flight/pool/cache locking.
+// Run under -race this also validates the locking of single-flight, the
+// graph cache and the result cache.
 func TestServiceMatchesDirect(t *testing.T) {
 	reqs := []Request{
 		{Kind: "edge", Alg: "be", Graph: exp.GraphSpec{Family: "gnm", N: 36, M: 100, Seed: 1}},

@@ -3,8 +3,7 @@
 //
 // A request names a generated graph (exp.GraphSpec), a coloring kind (edge
 // or vertex), an algorithm, and a seed. The service resolves it against a
-// bounded LRU of built graphs (each carrying reusable dist runner pools),
-// then serves it through four layers:
+// bounded LRU of built graphs, then serves it through four layers:
 //
 //   - a wire fast path: raw request bytes map straight to prerendered
 //     response bytes in a lock-striped LRU (fastCache), so a repeat request
@@ -17,8 +16,8 @@
 //   - single-flight: concurrent misses for the same key coalesce onto one
 //     execution, which runs on the first caller's own goroutine;
 //   - a bounded worker stage: at most Workers executions run at once, each
-//     on the graph's runner pool (dist.Pool), so per-vertex runtime state is
-//     amortized across requests touching the same graph.
+//     a one-shot dist.RunAlgo on the cached graph, so no per-vertex runtime
+//     state outlives its run.
 //
 // Responses are byte-identical to a direct dist.Run of the same request —
 // fast-lane hits, cache hits, coalesced waiters, and fresh computations
@@ -39,8 +38,7 @@ import (
 // Config sizes the service. The zero value is usable: every field has a
 // working default.
 type Config struct {
-	// Workers bounds concurrent algorithm executions (and the runner cap of
-	// each graph's pool). <= 0 means 4.
+	// Workers bounds concurrent algorithm executions. <= 0 means 4.
 	Workers int
 	// Engine is the default dist scheduler (requests may override).
 	Engine dist.Engine
@@ -170,7 +168,6 @@ type ServiceStats struct {
 	Filled     int64             `json:"filled,omitempty"`
 	Cache      CacheStats        `json:"cache"`
 	Fast       CacheStats        `json:"fastCache"`
-	Pools      []PoolSnapshot    `json:"pools"`
 	Sessions   []SessionSnapshot `json:"sessions"`
 	// Algs is the per-algorithm plane: one row per servable registry entry,
 	// in registry order. Requests counts every request resolved to the
@@ -214,8 +211,8 @@ type Service struct {
 	}
 
 	// stop is closed by Close: misses still waiting for a worker slot give
-	// up with ErrClosed. running counts the executions Close waits out before
-	// it closes the runner pools.
+	// up with ErrClosed. running counts the executions Close waits out, so
+	// no run outlives it.
 	stop    chan struct{}
 	running sync.WaitGroup
 }
@@ -227,7 +224,7 @@ func New(cfg Config) *Service {
 		cfg:      cfg,
 		cache:    newResultCache(cfg.CacheEntries),
 		fast:     newFastCache(cfg.FastEntries),
-		graphs:   newGraphCache(cfg.GraphEntries, cfg.Workers),
+		graphs:   newGraphCache(cfg.GraphEntries),
 		sessions: newSessionTable(cfg.Sessions),
 		hub:      newSubHub(cfg.MaxSubscribers, cfg.SessionSubscribers, cfg.FeedBuffer),
 		sem:      make(chan struct{}, cfg.Workers),
@@ -240,8 +237,8 @@ func New(cfg Config) *Service {
 	return s
 }
 
-// Close waits out the executions already running, then closes every runner
-// pool. Handle calls racing with Close may return ErrClosed.
+// Close waits out the executions already running, then closes every session
+// and subscriber feed. Handle calls racing with Close may return ErrClosed.
 func (s *Service) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -252,7 +249,6 @@ func (s *Service) Close() {
 	s.mu.Unlock()
 	close(s.stop)
 	s.running.Wait()
-	s.graphs.close()
 	s.sessions.close()
 	// After the sessions: their closes already ended their feeds via the
 	// onClose hook; this sweeps any remaining feed and refuses new
@@ -473,7 +469,8 @@ func (s *Service) CachedRecord(key string) ([]byte, bool) {
 	return v.rec, true
 }
 
-// Stats snapshots the service counters, caches, and per-graph runner pools.
+// Stats snapshots the service counters, caches, sessions, and per-algorithm
+// gauges.
 func (s *Service) Stats() ServiceStats {
 	t := s.counters.totals()
 	servable := algreg.Servable()
@@ -507,7 +504,6 @@ func (s *Service) Stats() ServiceStats {
 		Filled:      t.filled,
 		Cache:       s.cache.snapshot(),
 		Fast:        s.fast.snapshot(),
-		Pools:       s.graphs.snapshot(),
 		Sessions:    s.sessions.snapshot(),
 		Algs:        algs,
 	}
