@@ -32,19 +32,24 @@ func TestGolden(t *testing.T) {
 
 // TestEngineFlagPlumbing checks that every -engine value is accepted and
 // yields the exact output of the default engine — the CLI-level face of the
-// runtime's engine-equivalence contract.
+// runtime's engine-equivalence contract. Under compiled, be (whose plan on
+// this graph has depth 0) and pr run the Panconesi–Rizzi flat pass.
 func TestEngineFlagPlumbing(t *testing.T) {
-	base := []string{"-graph", "gnm", "-n", "48", "-m", "144", "-seed", "1", "-alg", "be", "-q"}
-	ref := testutil.CaptureStdout(t, func() error { return run(base) })
-	for _, engine := range []string{"lockstep", "sharded"} {
-		out := testutil.CaptureStdout(t, func() error {
-			return run(append([]string{"-engine", engine}, base...))
-		})
-		if out != ref {
-			t.Fatalf("-engine %s output differs from default:\n%s\nvs\n%s", engine, out, ref)
+	for _, base := range [][]string{
+		{"-graph", "gnm", "-n", "48", "-m", "144", "-seed", "1", "-alg", "be", "-q"},
+		{"-graph", "regular", "-n", "24", "-deg", "4", "-seed", "2", "-alg", "pr", "-q"},
+	} {
+		ref := testutil.CaptureStdout(t, func() error { return run(base) })
+		for _, engine := range []string{"lockstep", "sharded", "compiled"} {
+			out := testutil.CaptureStdout(t, func() error {
+				return run(append([]string{"-engine", engine}, base...))
+			})
+			if out != ref {
+				t.Fatalf("%v -engine %s output differs from default:\n%s\nvs\n%s", base, engine, out, ref)
+			}
 		}
-	}
-	if err := run(append([]string{"-engine", "nope"}, base...)); err == nil {
-		t.Fatal("-engine nope must be rejected")
+		if err := run(append([]string{"-engine", "nope"}, base...)); err == nil {
+			t.Fatal("-engine nope must be rejected")
+		}
 	}
 }

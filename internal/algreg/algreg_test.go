@@ -190,3 +190,43 @@ func TestKWAllocs(t *testing.T) {
 	}
 	t.Logf("vertex/be run: %.0f allocs/run (budget %d)", allocs, kwAllocBudget)
 }
+
+// TestLegalEdgeFlatPassAtDepthZero: edge/be carries the Panconesi–Rizzi flat
+// pass exactly when its plan has no Defective-Color level (the default p=6
+// on the small-mix graph, Δ=13), and keeps the per-vertex form alone on a
+// deeper plan (p=12 on a star with Δ=79). Either way Compiled matches
+// Lockstep.
+func TestLegalEdgeFlatPassAtDepthZero(t *testing.T) {
+	a, ok := algreg.Lookup("edge", "be")
+	if !ok {
+		t.Fatal("edge/be is not registered")
+	}
+	small, err := smallMixGraphs["edge/be"].Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+		p    int
+		flat bool
+	}{
+		{"small-mix/p=6", small, 6, true},
+		{"star(80)/p=12", graph.Star(80), 12, false},
+	} {
+		p := algreg.Params{B: 2, P: tc.p, Mode: "wide"}
+		if err := a.Canon(&p); err != nil {
+			t.Fatal(err)
+		}
+		algo, _, err := a.BuildEdge(tc.g, p)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := algo.Compiled != nil; got != tc.flat {
+			t.Fatalf("%s: flat pass bundled = %v, want %v", tc.name, got, tc.flat)
+		}
+		if err := compiledMatchesLockstep(tc.g, algo); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+	}
+}

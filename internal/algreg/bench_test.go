@@ -23,10 +23,12 @@ var smallMixGraphs = map[string]exp.GraphSpec{
 // BenchmarkServedAlgos runs every servable algorithm on its small-mix graph
 // with the service's default parameters, under the Compiled engine the way
 // the service does — one dist.RunAlgo per request — and under Lockstep (the
-// scheduler on a reused Runner). Under Compiled the greedy algorithms run
-// their flat passes and the others one-shot Lockstep runs on fresh Runners,
-// so the compiled/lockstep pairs price what keeping no vertex state between
-// runs costs per run.
+// scheduler on a reused Runner). Under Compiled the greedy algorithms,
+// edge/pr and edge/be (whose default plan has depth 0 on its graph) run
+// their flat passes, and vertex/be and edge/fewcolors one-shot Lockstep
+// runs on fresh Runners, so those compiled/lockstep pairs price what
+// keeping no vertex state between runs costs per run. scripts/bench.sh
+// records these rows in BENCH_runtime.json.
 func BenchmarkServedAlgos(b *testing.B) {
 	for _, a := range algreg.Servable() {
 		name := a.Kind + "/" + a.Name

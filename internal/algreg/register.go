@@ -42,22 +42,18 @@ func init() {
 			return nil
 		},
 		BuildEdge: func(g *graph.Graph, p Params) (dist.Algo[[]int], int, error) {
-			pl, err := core.AutoPlan(g.MaxDegree(), 2, p.B, p.P, true)
+			algo, pl, err := legalEdgeAlgo(g, p)
 			if err != nil {
 				return dist.Algo[[]int]{}, 0, err
 			}
-			algo, err := edgecolor.LegalEdgeProcess(g.MaxDegree(), pl, msgMode(p.Mode))
-			if err != nil {
-				return dist.Algo[[]int]{}, 0, err
-			}
-			return dist.Algo[[]int]{Vertex: algo}, pl.TotalPalette(), nil
+			return algo, pl.TotalPalette(), nil
 		},
 		RunEdge: func(g *graph.Graph, p Params, opts ...dist.Option) (*dist.Result[[]int], []string, error) {
-			pl, err := core.AutoPlan(g.MaxDegree(), 2, p.B, p.P, true)
+			algo, pl, err := legalEdgeAlgo(g, p)
 			if err != nil {
 				return nil, nil, err
 			}
-			res, err := edgecolor.LegalEdgeColoring(g, pl, msgMode(p.Mode), opts...)
+			res, err := dist.RunAlgo(g, algo, opts...)
 			return res, []string{fmt.Sprintf("plan:  %v", pl)}, err
 		},
 	})
@@ -68,9 +64,7 @@ func init() {
 		Canon:   zeroPlan,
 		BuildEdge: func(g *graph.Graph, p Params) (dist.Algo[[]int], int, error) {
 			delta := g.MaxDegree()
-			return dist.Algo[[]int]{Vertex: func(v dist.Process) []int {
-				return panconesi.EdgeColorStep(v, nil, delta)
-			}}, 2*delta - 1, nil
+			return panconesi.EdgeColorAlgo(delta), 2*delta - 1, nil
 		},
 		RunEdge: func(g *graph.Graph, p Params, opts ...dist.Option) (*dist.Result[[]int], []string, error) {
 			res, err := panconesi.EdgeColoring(g, opts...)
@@ -232,6 +226,17 @@ func init() {
 			return res, nil, err
 		},
 	})
+}
+
+// legalEdgeAlgo builds the §5 edge Legal-Color bundle for g under the plan
+// AutoPlan picks; at depth 0 it carries the Panconesi–Rizzi flat pass.
+func legalEdgeAlgo(g *graph.Graph, p Params) (dist.Algo[[]int], *core.Plan, error) {
+	pl, err := core.AutoPlan(g.MaxDegree(), 2, p.B, p.P, true)
+	if err != nil {
+		return dist.Algo[[]int]{}, nil, err
+	}
+	algo, err := edgecolor.LegalEdgeAlgo(g.MaxDegree(), pl, msgMode(p.Mode))
+	return algo, pl, err
 }
 
 // runLegal builds the Legal-Color CLI hook for a start mode: plan note plus

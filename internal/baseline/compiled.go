@@ -14,9 +14,10 @@ import (
 // Stats reconstructed through dist.Tally so Outputs and Stats stay
 // byte-identical to the per-vertex forms under every engine. These are the
 // service's hot paths — the greedy oracle runs once per cached graph and
-// once per legality check — so they are worth hand-flattening; the
-// blocking-style pipelines carry no flat pass and run under the Compiled
-// engine as one-shot Lockstep runs.
+// once per legality check — so they are worth hand-flattening. The other
+// flat passes are Panconesi–Rizzi (panconesi.EdgeColorAlgo) and the
+// dynamic repair; the remaining pipelines carry none and run under the
+// Compiled engine as one-shot Lockstep runs.
 
 // GreedyVertexAlgo bundles GreedyVertexProcess with its compiled form.
 func GreedyVertexAlgo() dist.Algo[int] {

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/graph"
@@ -111,11 +112,16 @@ func roundCapErr(maxRounds int, s Stats) error {
 // RunAlgo executes a bundled algorithm at every vertex of g: under the
 // Compiled engine (and a non-nil a.Compiled) as a flat whole-run pass,
 // otherwise exactly as Run(g, a.Vertex, opts...). See Run for the execution
-// contract.
+// contract. A flat pass builds no Runner at all.
 func RunAlgo[T any](g *graph.Graph, a Algo[T], opts ...Option) (*Result[T], error) {
-	r := NewRunner[T](g)
-	defer r.Close()
-	return r.RunAlgo(a, opts...)
+	cfg := parseOptions(opts)
+	if cfg.engine == Compiled && a.Compiled != nil {
+		return runCompiled(g, a.Compiled, cfg)
+	}
+	if a.Vertex == nil {
+		return nil, errNoVertex
+	}
+	return runOnce(g, a.Vertex, cfg)
 }
 
 // RunAlgo executes one bundled-algorithm run on this Runner; see RunAlgo
@@ -123,18 +129,17 @@ func RunAlgo[T any](g *graph.Graph, a Algo[T], opts ...Option) (*Result[T], erro
 // touch none of the pooled vertex state, so mixing compiled and scheduled
 // runs on one Runner is free.
 func (r *Runner[T]) RunAlgo(a Algo[T], opts ...Option) (*Result[T], error) {
-	cfg := config{engine: Goroutines, maxRounds: DefaultMaxRounds}
-	for _, o := range opts {
-		o(&cfg)
-	}
+	cfg := parseOptions(opts)
 	if cfg.engine == Compiled && a.Compiled != nil {
 		return runCompiled(r.g, a.Compiled, cfg)
 	}
 	if a.Vertex == nil {
-		return nil, fmt.Errorf("dist: algo has no Vertex form")
+		return nil, errNoVertex
 	}
-	return r.Run(a.Vertex, opts...)
+	return r.run(a.Vertex, cfg)
 }
+
+var errNoVertex = errors.New("dist: algo has no Vertex form")
 
 // RunAlgo acquires a Runner (reusing an idle one, building one under the
 // cap, or waiting for a release), executes one bundled-algorithm run on it,

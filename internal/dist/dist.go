@@ -250,6 +250,16 @@ type config struct {
 // Option configures a run.
 type Option func(*config)
 
+// parseOptions applies opts over the defaults (Goroutines, seed 0,
+// DefaultMaxRounds).
+func parseOptions(opts []Option) config {
+	cfg := config{engine: Goroutines, maxRounds: DefaultMaxRounds}
+	for _, o := range opts {
+		o(&cfg)
+	}
+	return cfg
+}
+
 // WithSeed fixes the seed from which all per-vertex PRNG streams are
 // derived. The default seed is 0; two runs with the same graph, algorithm,
 // seed and any engine produce identical Outputs and Stats.

@@ -7,6 +7,7 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/dist"
 	"repro/internal/graph"
+	"repro/internal/panconesi"
 )
 
 // FuzzCompiledAgree fuzzes the two execution paths that can still diverge
@@ -15,8 +16,11 @@ import (
 //   - the multi-shard scheduler: chatty under Sharded on 1 + k%8 shards,
 //     whose cross-shard queues and reverse-port inbox slots a single shard
 //     never exercises;
-//   - the hand-written flat passes: the greedy vertex and edge colorings
-//     under Compiled.
+//   - the hand-written flat passes under Compiled: the greedy vertex and
+//     edge colorings, and Panconesi–Rizzi with degBound Δ + k%3 (the slack
+//     edge/be's leaf bound can have), once uncapped and once under
+//     WithMaxRounds(1 + k%40), so a tripped cap's error text and partial
+//     Stats are compared too.
 //
 // Each must agree with Lockstep byte for byte — Outputs, Stats and error
 // text — so any delivery, port or accounting confusion shows up as a diff.
@@ -52,6 +56,16 @@ func FuzzCompiledAgree(f *testing.F) {
 		wantE, werr := dist.RunAlgo(g, baseline.GreedyEdgeAlgo(), seeded, lockstep)
 		gotE, gerr := dist.RunAlgo(g, baseline.GreedyEdgeAlgo(), seeded, dist.WithEngine(dist.Compiled))
 		agree(t, "greedy edge on compiled", wantE, gotE, werr, gerr)
+
+		pr := panconesi.EdgeColorAlgo(g.MaxDegree() + int(k%3))
+		wantP, werr := dist.RunAlgo(g, pr, seeded, lockstep)
+		gotP, gerr := dist.RunAlgo(g, pr, seeded, dist.WithEngine(dist.Compiled))
+		agree(t, "panconesi on compiled", wantP, gotP, werr, gerr)
+
+		capped := dist.WithMaxRounds(1 + int(k%40))
+		wantP, werr = dist.RunAlgo(g, pr, capped, lockstep)
+		gotP, gerr = dist.RunAlgo(g, pr, capped, dist.WithEngine(dist.Compiled))
+		agree(t, "capped panconesi on compiled", wantP, gotP, werr, gerr)
 	})
 }
 

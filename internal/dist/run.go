@@ -20,9 +20,18 @@ import (
 // A panic inside any vertex instance aborts the run and is returned as an
 // error carrying the vertex and the panic value.
 func Run[T any](g *graph.Graph, algo func(Process) T, opts ...Option) (*Result[T], error) {
+	return runOnce(g, algo, parseOptions(opts))
+}
+
+// runOnce executes one run on a fresh Runner closed when the run ends. The
+// Runner is fresh either way, so Compiled goes straight to Lockstep.
+func runOnce[T any](g *graph.Graph, algo func(Process) T, cfg config) (*Result[T], error) {
+	if cfg.engine == Compiled {
+		cfg.engine = Lockstep
+	}
 	r := NewRunner[T](g)
 	defer r.Close()
-	return r.Run(algo, opts...)
+	return r.run(algo, cfg)
 }
 
 // Runner executes repeated runs over one graph, amortizing the per-vertex
@@ -109,18 +118,17 @@ func (r *Runner[T]) clearStale() {
 // inside Round are stopped, so no aborted vertex still runs user code, and
 // the next run rebuilds the pooled state from scratch.
 func (r *Runner[T]) Run(algo func(Process) T, opts ...Option) (*Result[T], error) {
-	cfg := config{engine: Goroutines, maxRounds: DefaultMaxRounds}
-	for _, o := range opts {
-		o(&cfg)
-	}
+	return r.run(algo, parseOptions(opts))
+}
+
+// run executes one run under a parsed configuration.
+func (r *Runner[T]) run(algo func(Process) T, cfg config) (*Result[T], error) {
 	if cfg.engine == Compiled {
 		// A plain per-vertex function has no flat pass (RunAlgo dispatches
 		// those before reaching here), so the Compiled engine runs it as a
 		// one-shot Lockstep run on a fresh Runner: its coroutines end with
 		// the run, and r's pooled state is left untouched.
-		cfg.engine = Lockstep
-		r = NewRunner[T](r.g)
-		defer r.Close()
+		return runOnce(r.g, algo, cfg)
 	}
 	if cfg.engine != Goroutines && cfg.engine != Lockstep && cfg.engine != Sharded {
 		return nil, fmt.Errorf("dist: unknown engine %v", cfg.engine)

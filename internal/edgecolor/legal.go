@@ -21,27 +21,33 @@ import (
 // parallel with disjoint palettes. Returns per-vertex port colorings (merge
 // with graph.MergePortColors).
 func LegalEdgeColoring(g *graph.Graph, pl *core.Plan, mode MsgMode, opts ...dist.Option) (*dist.Result[[]int], error) {
-	algo, err := LegalEdgeProcess(g.MaxDegree(), pl, mode)
+	algo, err := LegalEdgeAlgo(g.MaxDegree(), pl, mode)
 	if err != nil {
 		return nil, err
 	}
-	return dist.Run(g, algo, opts...)
+	return dist.RunAlgo(g, algo, opts...)
 }
 
-// LegalEdgeProcess returns the per-vertex body of LegalEdgeColoring for a
-// graph of maximum degree delta, validated against the plan. Callers that
-// bundle it into a dist.Algo (the algorithm registry, and so the coloring
-// service) use it to get the exact algorithm LegalEdgeColoring would run.
-func LegalEdgeProcess(delta int, pl *core.Plan, mode MsgMode) (func(dist.Process) []int, error) {
+// LegalEdgeAlgo returns the algorithm LegalEdgeColoring runs on a graph of
+// maximum degree delta, validated against the plan, as a dist.Algo bundle.
+// A plan of depth 0 has no Defective-Color level: with every edge in one
+// class, the run is exactly panconesi.EdgeColorStep(v, nil, LeafBound), so
+// the bundle carries panconesi's flat pass. Deeper plans carry the
+// per-vertex form only.
+func LegalEdgeAlgo(delta int, pl *core.Plan, mode MsgMode) (dist.Algo[[]int], error) {
 	if !pl.Edge {
-		return nil, fmt.Errorf("edgecolor: vertex-mode plan passed to LegalEdgeProcess")
+		return dist.Algo[[]int]{}, fmt.Errorf("edgecolor: vertex-mode plan passed to LegalEdgeAlgo")
 	}
 	if delta > pl.Delta {
-		return nil, fmt.Errorf("edgecolor: graph degree %d exceeds plan Δ=%d", delta, pl.Delta)
+		return dist.Algo[[]int]{}, fmt.Errorf("edgecolor: graph degree %d exceeds plan Δ=%d", delta, pl.Delta)
 	}
-	return func(v dist.Process) []int {
+	algo := dist.Algo[[]int]{Vertex: func(v dist.Process) []int {
 		return legalEdgeVertex(v, pl, mode, nil)
-	}, nil
+	}}
+	if pl.Depth() == 0 {
+		algo.Compiled = panconesi.EdgeColorAlgo(pl.LeafBound()).Compiled
+	}
+	return algo, nil
 }
 
 // legalEdgeVertex is the per-vertex body of the edge Legal-Color. initClass

@@ -300,3 +300,84 @@ func exchangeAllColors(v dist.Process, m *Membership, colors []int, out [][]byte
 		res[port] = c
 	}
 }
+
+// ThreeColorFlat is ThreeColor run at every vertex of an n-vertex network in
+// one pass, for the flat (dist.CompiledAlgo) forms. The forests are given
+// flat: one node per (vertex, forest) pair, with id[x] the identifier of
+// node x's vertex and parent[x] its parent node (-1 at a root), and one
+// entry per forest port, near[i] the node that sends on it and far[i] the
+// node at its other end. It returns every node's color in {1,2,3} — the
+// value ThreeColor returns in that forest's slot — and accounts through t
+// the TotalRounds(n) rounds, each with n arrivals, and every port's message,
+// exactly as n vertices running ThreeColor would.
+func ThreeColorFlat(n int, id []int, parent, near, far []int32, t *dist.Tally) ([]int, error) {
+	colors := make([]int, len(id)) // 0-based during reduction
+	for x := range colors {
+		colors[x] = id[x] - 1
+	}
+	next := make([]int, len(id))
+	// exchange accounts one round in which every forest port carries its
+	// node's current color.
+	exchange := func() error {
+		if err := t.StartRound(n); err != nil {
+			return err
+		}
+		for _, x := range near {
+			t.Message(wire.IntLen(colors[x]))
+		}
+		return nil
+	}
+	for r := 0; r < CVRounds(n); r++ {
+		if err := exchange(); err != nil {
+			return nil, err
+		}
+		for x, p := range parent {
+			if p >= 0 {
+				next[x] = cvStep(colors[x], colors[p])
+			} else {
+				next[x] = colors[x] & 1
+			}
+		}
+		colors, next = next, colors
+	}
+	for x := range colors {
+		colors[x]++
+	}
+	used := make([]uint8, len(id))
+	for c := 6; c >= 4; c-- {
+		if err := exchange(); err != nil {
+			return nil, err
+		}
+		for x, p := range parent {
+			if p >= 0 {
+				next[x] = colors[p]
+			} else if colors[x] == 1 {
+				next[x] = 2
+			} else {
+				next[x] = 1
+			}
+		}
+		colors, next = next, colors
+		if err := exchange(); err != nil {
+			return nil, err
+		}
+		clear(used)
+		for i, x := range near {
+			if fc := colors[far[i]]; fc >= 1 && fc <= 3 {
+				used[x] |= 1 << fc
+			}
+		}
+		for x := range colors {
+			if colors[x] != c {
+				continue
+			}
+			for k := 1; k <= 3; k++ {
+				if used[x]&(1<<k) == 0 {
+					colors[x] = k
+					break
+				}
+			}
+		}
+	}
+	return colors, nil
+}

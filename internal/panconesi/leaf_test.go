@@ -57,6 +57,16 @@ func TestLeafStatsPinned(t *testing.T) {
 			stats:  dist.Stats{Rounds: 34, Bytes: 2239, MaxMessageBytes: 4, Activations: 1632},
 		},
 		{
+			// The flat pass must land on the per-vertex form's figures.
+			name: "EdgeColorAlgo/compiled/regular(48,4)",
+			run: func() (*dist.Result[[]int], error) {
+				g := graph.RandomRegular(48, 4, 2)
+				return dist.RunAlgo(g, EdgeColorAlgo(g.MaxDegree()), dist.WithEngine(dist.Compiled))
+			},
+			digest: "21faa84c1c22e314",
+			stats:  dist.Stats{Rounds: 34, Bytes: 2239, MaxMessageBytes: 4, Activations: 1632},
+		},
+		{
 			name: "EdgeColorMulti/4-class/gnm(64,192)",
 			run: func() (*dist.Result[[]int], error) {
 				g := graph.GNM(64, 192, 1)
@@ -95,8 +105,10 @@ func TestMessagesDeterministic(t *testing.T) {
 	})
 }
 
-// TestLeafAllocs is the allocation budget of one Panconesi–Rizzi run under
-// the Compiled engine (a one-shot Lockstep run) on regular(48,4).
+// TestLeafAllocs is the allocation budget of one run of the per-vertex form
+// on regular(48,4): bundled without its flat pass, the Compiled engine runs
+// it as a one-shot Lockstep run. The leaf of edge/be's deeper plans and
+// fewcolors' base still run this way.
 func TestLeafAllocs(t *testing.T) {
 	const leafAllocBudget = 2700
 	g := graph.RandomRegular(48, 4, 2)
@@ -113,6 +125,24 @@ func TestLeafAllocs(t *testing.T) {
 		t.Fatalf("leaf run allocates %.0f allocs/run, budget %d", allocs, leafAllocBudget)
 	}
 	t.Logf("leaf run: %.0f allocs/run (budget %d)", allocs, leafAllocBudget)
+}
+
+// TestLeafCompiledAllocs is the allocation budget of one run of the flat
+// pass (EdgeColorAlgo under the Compiled engine) on regular(48,4): a fixed
+// set of whole-graph arrays, not per-vertex state.
+func TestLeafCompiledAllocs(t *testing.T) {
+	const flatAllocBudget = 30
+	g := graph.RandomRegular(48, 4, 2)
+	algo := EdgeColorAlgo(g.MaxDegree())
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := dist.RunAlgo(g, algo, dist.WithEngine(dist.Compiled)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > flatAllocBudget {
+		t.Fatalf("flat pass allocates %.0f allocs/run, budget %d", allocs, flatAllocBudget)
+	}
+	t.Logf("flat pass: %.0f allocs/run (budget %d)", allocs, flatAllocBudget)
 }
 
 // TestOutOfPalettePanics: a reported color outside {1..2·degBound−1} (or a
@@ -179,8 +209,10 @@ func TestLeafResumes(t *testing.T) {
 		classes int
 		ceiling int // suspending calls over all vertices
 	}{
-		// The served edge/pr run, the leaf of the served edge/be run (its
-		// plan has no recursion level on this graph), and a multi-class leaf.
+		// The per-vertex forms of the served edge/pr run and of the leaf of
+		// the served edge/be run (its plan has no recursion level on this
+		// graph; under Compiled both run the flat pass), and a multi-class
+		// leaf.
 		// Measured 1018, 1710 and 1266 calls; one per round would be 1632,
 		// 5632 and 5632.
 		{"regular(48,4)", graph.RandomRegular(48, 4, 2), 1, 1100},

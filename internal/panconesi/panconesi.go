@@ -24,6 +24,10 @@
 // once, each with its own palette {1..2·degBound−1}; classes proceed in
 // lockstep through the same stages, so the round cost does not grow with the
 // number of classes — exactly the property the recursion leaf of §5 needs.
+//
+// EdgeColorAlgo bundles the single-class form with a flat pass (flat.go)
+// that the Compiled engine runs instead of one coroutine per vertex, with
+// byte-identical Outputs and Stats. The multi-class form has no flat pass.
 package panconesi
 
 import (
@@ -283,10 +287,8 @@ func appendUsedSet(w *wire.Writer, u []bool) {
 
 // EdgeColoring runs the full Panconesi–Rizzi algorithm on g and returns the
 // per-vertex port colorings (merge with graph.MergePortColors). The palette
-// is {1..2Δ−1} and the round cost is O(Δ) + O(log* n).
+// is {1..2Δ−1} and the round cost is O(Δ) + O(log* n). It runs the bundle
+// EdgeColorAlgo(Δ), so the Compiled engine executes the flat pass.
 func EdgeColoring(g *graph.Graph, opts ...dist.Option) (*dist.Result[[]int], error) {
-	degBound := g.MaxDegree()
-	return dist.Run(g, func(v dist.Process) []int {
-		return EdgeColorStep(v, nil, degBound)
-	}, opts...)
+	return dist.RunAlgo(g, EdgeColorAlgo(g.MaxDegree()), opts...)
 }

@@ -10,7 +10,10 @@
 # so BENCH_runtime.json shows the whole engine trajectory — including the
 # compiled hot-path speedup — side by side. The internal/dynamic rows cover
 # the mutation path: the canonical run every session starts with, a
-# batched window stream through Maintainer.Apply, and WAL replay.
+# batched window stream through Maintainer.Apply, and WAL replay. The
+# internal/algreg rows (BenchmarkServedAlgos/{alg}/{compiled,lockstep})
+# price every servable algorithm on its small-mix graph the way a service
+# miss runs it, flat pass or one-shot scheduler run.
 #
 # Usage:
 #   scripts/bench.sh                 # full run, writes BENCH_runtime.json
@@ -24,6 +27,6 @@ OUT="${OUT:-BENCH_runtime.json}"
 TXT="$(mktemp)"
 trap 'rm -f "$TXT"' EXIT
 
-go test -run '^$' -bench . -benchmem -benchtime "$BENCHTIME" . ./internal/dist/ ./internal/dynamic/ | tee "$TXT"
+go test -run '^$' -bench . -benchmem -benchtime "$BENCHTIME" . ./internal/dist/ ./internal/dynamic/ ./internal/algreg/ | tee "$TXT"
 go run ./cmd/benchjson < "$TXT" > "$OUT"
 echo "wrote $OUT" >&2
