@@ -1,13 +1,13 @@
 # Development entry points. CI runs three parallel jobs — lint, test-race +
-# cover, and the bench/service smokes with a warn-only regression check —
-# and a nightly workflow runs the fuzz targets at FUZZTIME=5m. bench and
-# bench-service are the full measurement runs that refresh
-# BENCH_runtime.json and BENCH_service.json.
+# cover, and the bench/service smokes with a warn-only runtime regression
+# check — and a nightly workflow runs the fuzz targets at FUZZTIME=5m. bench
+# is the full measurement run that refreshes BENCH_runtime.json; the
+# end-to-end service benchmark is the colordbench module.
 
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build test race vet fmt cover loc bench bench-smoke bench-service bench-service-smoke bench-check \
+.PHONY: build test race vet fmt cover loc bench bench-smoke \
 	bench-runtime-check bench-cluster-smoke fuzz-smoke fuzz-builder fuzz-wire-roundtrip fuzz-wire-reader \
 	fuzz-dist-compiled fuzz-dynamic-compiled fuzz-wal
 
@@ -48,28 +48,10 @@ bench:
 bench-smoke:
 	BENCHTIME=1x OUT=/dev/null scripts/bench.sh
 
-# Service load measurement: drives an in-process colord with cmd/loadgen
-# (raw persistent-connection driver) and refreshes BENCH_service.json
-# (p50/p99 latency, req/s, B/op, allocs/op, cache rates, plus the
-# BenchmarkHitPath serving-fast-path microbenchmark).
-bench-service:
-	scripts/bench_service.sh
-
-# Tiny-duration loadgen pass against a throwaway output: proves colord,
-# loadgen, the hit-path microbenchmark (-benchmem), and the JSON pipeline
-# stay runnable. CI runs this.
-bench-service-smoke:
-	DURATION=300ms BENCHTIME=1x SUBS=50 RATE=0 SETTLE=0 OUT=/dev/null scripts/bench_service.sh
-
-# Rerun the service bench and fail if p50, req/s, B/op, or allocs/op regress
-# more than 3x against the committed BENCH_service.json (BENCH_WARN_ONLY=1
-# in CI).
-bench-check:
-	scripts/bench_check.sh
-
-# Rerun the runtime bench and fail if ns/op regresses more than 3x — or any
-# deterministic LOCAL-model metric drifts at all — against the committed
-# BENCH_runtime.json. This guards the compiled hot-path speedup.
+# Rerun the runtime bench and fail if ns/op, B/op or allocs/op regresses more
+# than 3x — or any deterministic LOCAL-model metric drifts at all — against
+# the committed BENCH_runtime.json. This guards the compiled hot-path speedup
+# and the zero-allocation hit path.
 bench-runtime-check:
 	scripts/bench_runtime_check.sh
 

@@ -1,42 +1,32 @@
 // Command benchcmp gates benchmark regressions: it compares a fresh
-// cmd/benchjson document against a committed baseline and fails when a gated
-// metric regresses by more than the given factor.
+// cmd/benchjson document against the committed BENCH_runtime.json and fails
+// when a gated metric regresses.
 //
-// Two baseline kinds are understood, selected by -kind:
+// Gates:
 //
-//   - service (default, baseline BENCH_service.json): gates p50-ns (median
-//     latency, regressed when current > factor × baseline), delta-p50-ns
-//     (the subscribe workload's commit-to-subscriber fan-out latency, same
-//     direction), req/s (throughput, regressed when current < baseline /
-//     factor), and the allocation metrics B/op and allocs/op (regressed when
-//     current > factor × baseline). Allocation gates and delta-p50-ns use a
-//     floor — the baseline is clamped up (a few allocations; 1ms of fan-out
-//     latency) before the ratio is taken — so a zero- or near-zero baseline
-//     doesn't turn one stray allocation or a fast machine's sub-millisecond
-//     fan-out into an infinite ratio. recovery-ns (WAL replay wall clock of
-//     the crash-recovery benchmark) gates like a latency, with a 1ms floor;
-//   - runtime (baseline BENCH_runtime.json): gates ns/op the same way p50-ns
-//     gates latency. The deterministic LOCAL-model metrics (rounds, msgBytes,
-//     colors, ...) must match exactly — a changed round count is a semantics
-//     change, not noise, so it regresses at any -factor.
+//   - ns/op, B/op and allocs/op regress when current > factor × baseline.
+//     The allocation gates use a floor: the baseline is clamped up (512 B, 4
+//     allocations) before the ratio is taken, so a zero- or near-zero
+//     baseline doesn't turn one stray allocation into an infinite ratio;
+//   - the deterministic LOCAL-model metrics (rounds, msgBytes, colors, ...)
+//     must match exactly — a changed round count is a semantics change, not
+//     noise, so it regresses at any -factor.
 //
-// Other shared metrics are printed for context but do not gate — tail
-// latency and cache rates are too noisy on shared CI runners to block on. A
-// benchmark present in the baseline but missing from the current run is a
-// regression (the workload silently stopped being measured).
+// Other metrics do not gate. A benchmark present in the baseline but missing
+// from the current run is a regression (the workload silently stopped being
+// measured).
 //
 // Usage:
 //
-//	go run ./cmd/benchcmp -committed BENCH_service.json -current new.json
-//	go run ./cmd/benchcmp -kind runtime -committed BENCH_runtime.json -current new.json
+//	go run ./cmd/benchcmp -committed BENCH_runtime.json -current new.json
 //	go run ./cmd/benchcmp -factor 3 -warn ...   # report noise-prone gates only (CI)
 //
 // -warn downgrades the wall-clock and allocation gates to a report, for
 // runners too noisy to block on. It never downgrades an exact gate: a
-// drifted rounds/msgBytes/colors/colors-used value fails the run either way.
+// drifted rounds/msgBytes/colors value fails the run either way.
 //
-// scripts/bench_check.sh and scripts/bench_runtime_check.sh wire this behind
-// quick benchmark passes.
+// scripts/bench_runtime_check.sh wires this behind a fresh scripts/bench.sh
+// pass.
 package main
 
 import (
@@ -61,6 +51,19 @@ type report struct {
 // the sequential work count of a run.
 var exactRuntimeMetrics = []string{"rounds", "msgBytes", "colors", "maxMsgB", "defect", "depth", "delta", "activations"}
 
+// gates is every comparison benchcmp makes, in report order.
+var gates = func() []gate {
+	g := []gate{
+		{metric: "ns/op"},
+		{metric: "B/op", floor: 512},
+		{metric: "allocs/op", floor: 4},
+	}
+	for _, m := range exactRuntimeMetrics {
+		g = append(g, gate{metric: m, exact: true})
+	}
+	return g
+}()
+
 func main() {
 	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "benchcmp:", err)
@@ -71,39 +74,13 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("benchcmp", flag.ContinueOnError)
 	var (
-		kind      = fs.String("kind", "service", "baseline kind: service (gates p50-ns, req/s) or runtime (gates ns/op, exact LOCAL metrics)")
-		committed = fs.String("committed", "", "baseline benchjson document (default BENCH_<kind>.json)")
+		committed = fs.String("committed", "BENCH_runtime.json", "baseline benchjson document")
 		current   = fs.String("current", "", "fresh benchjson document to gate")
-		factor    = fs.Float64("factor", 3, "allowed regression factor on gated metrics")
+		factor    = fs.Float64("factor", 3, "allowed regression factor on ns/op, B/op and allocs/op")
 		warn      = fs.Bool("warn", false, "report wall-clock and allocation regressions without failing (CI smoke); exact-metric drift still fails")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	var gates []gate
-	switch *kind {
-	case "service":
-		gates = []gate{
-			{metric: "p50-ns", upIsBad: true},
-			{metric: "delta-p50-ns", upIsBad: true, floor: 1e6},
-			{metric: "recovery-ns", upIsBad: true, floor: 1e6},
-			{metric: "req/s"},
-			{metric: "B/op", upIsBad: true, floor: 512},
-			{metric: "allocs/op", upIsBad: true, floor: 4},
-			// The measured palette is deterministic — a change is an
-			// algorithm change, not noise, so it gates exactly.
-			{metric: "colors-used", exact: true},
-		}
-	case "runtime":
-		gates = []gate{{metric: "ns/op", upIsBad: true}}
-		for _, m := range exactRuntimeMetrics {
-			gates = append(gates, gate{metric: m, exact: true})
-		}
-	default:
-		return fmt.Errorf("unknown -kind %q (want service or runtime)", *kind)
-	}
-	if *committed == "" {
-		*committed = "BENCH_" + *kind + ".json"
 	}
 	if *current == "" {
 		return fmt.Errorf("need -current")
@@ -146,17 +123,13 @@ func run(args []string) error {
 				}
 				continue
 			}
-			ref := was
-			if gate.upIsBad && ref < gate.floor {
-				ref = gate.floor // don't turn a near-zero baseline into an infinite ratio
-			}
+			ref := max(was, gate.floor) // don't turn a near-zero baseline into an infinite ratio
 			if ref == 0 {
 				continue
 			}
 			ratio := now / ref
-			bad := (gate.upIsBad && ratio > *factor) || (!gate.upIsBad && ratio < 1 / *factor)
 			tag := "ok        "
-			if bad {
+			if ratio > *factor {
 				regressions++
 				tag = "REGRESSION"
 			}
@@ -178,16 +151,14 @@ func run(args []string) error {
 	return nil
 }
 
-// gate is one metric comparison rule.
+// gate is one metric comparison rule. A non-exact gate regresses when the
+// current value exceeds factor × the (floored) baseline.
 type gate struct {
 	metric string
-	// upIsBad: larger-than-baseline is the regression direction (latency).
-	// When false, smaller is (throughput).
-	upIsBad bool
 	// exact: the metric is deterministic; any drift regresses.
 	exact bool
-	// floor clamps the baseline up before the ratio (upIsBad gates only):
-	// a zero-allocation baseline tolerates up to factor × floor absolute.
+	// floor clamps the baseline up before the ratio: a zero-allocation
+	// baseline tolerates up to factor × floor absolute.
 	floor float64
 }
 

@@ -24,36 +24,40 @@ func writeReport(t *testing.T, name string, metrics map[string]float64) string {
 
 // TestGates pins which gates -warn downgrades: wall-clock and allocation
 // regressions only warn, while any drift of an exact (deterministic) metric
-// fails with or without -warn.
+// fails with or without -warn. It also pins the allocation floors: a zero
+// baseline tolerates up to factor × floor.
 func TestGates(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
-		kind      string
 		base, cur map[string]float64
 		warn      bool
 		wantErr   string // "" = must pass
 	}{
-		{"runtime clean", "runtime",
+		{"runtime clean",
 			map[string]float64{"ns/op": 100, "rounds": 8}, map[string]float64{"ns/op": 120, "rounds": 8}, false, ""},
-		{"runtime slow", "runtime",
+		{"runtime slow",
 			map[string]float64{"ns/op": 100, "rounds": 8}, map[string]float64{"ns/op": 900, "rounds": 8}, false, "1 regression"},
-		{"runtime slow warn", "runtime",
+		{"runtime slow warn",
 			map[string]float64{"ns/op": 100, "rounds": 8}, map[string]float64{"ns/op": 900, "rounds": 8}, true, ""},
-		{"runtime rounds drift", "runtime",
+		{"runtime rounds drift",
 			map[string]float64{"ns/op": 100, "rounds": 8}, map[string]float64{"ns/op": 100, "rounds": 9}, false, "drifted"},
-		{"runtime msgBytes drift warn", "runtime",
+		{"runtime msgBytes drift warn",
 			map[string]float64{"ns/op": 100, "msgBytes": 64}, map[string]float64{"ns/op": 100, "msgBytes": 65}, true, "drifted"},
-		{"runtime activations drift warn", "runtime",
+		{"runtime activations drift warn",
 			map[string]float64{"ns/op": 100, "activations": 2575}, map[string]float64{"ns/op": 100, "activations": 2576}, true, "drifted"},
-		{"runtime colors drift warn", "runtime",
+		{"runtime colors drift warn",
 			map[string]float64{"colors": 20}, map[string]float64{"colors": 19}, true, "drifted"},
-		{"service allocs warn", "service",
-			map[string]float64{"allocs/op": 100}, map[string]float64{"allocs/op": 1000}, true, ""},
-		{"service colors-used drift warn", "service",
-			map[string]float64{"req/s": 1000, "colors-used": 11}, map[string]float64{"req/s": 1000, "colors-used": 12}, true, "drifted"},
+		{"runtime allocs",
+			map[string]float64{"B/op": 4096, "allocs/op": 100}, map[string]float64{"B/op": 16384, "allocs/op": 1000}, false, "2 regression"},
+		{"runtime allocs warn",
+			map[string]float64{"B/op": 4096, "allocs/op": 100}, map[string]float64{"B/op": 16384, "allocs/op": 1000}, true, ""},
+		{"runtime zero allocs floor",
+			map[string]float64{"B/op": 0, "allocs/op": 0}, map[string]float64{"B/op": 1536, "allocs/op": 12}, false, ""},
+		{"runtime zero allocs past floor",
+			map[string]float64{"B/op": 0, "allocs/op": 0}, map[string]float64{"B/op": 1537, "allocs/op": 13}, false, "2 regression"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			args := []string{"-kind", tc.kind,
+			args := []string{
 				"-committed", writeReport(t, "base.json", tc.base),
 				"-current", writeReport(t, "cur.json", tc.cur)}
 			if tc.warn {

@@ -6,7 +6,8 @@
 //
 //   - -mode color (default): a mixed coloring workload (generator families
 //     × sizes × algorithms × seeds) against /v1/color. An untimed warmup
-//     pass primes the caches first (disable with -warmup=false).
+//     pass primes the caches first (disable with -warmup=false), and a
+//     ?detail=1 probe after the window reports the mix's mean colorsUsed.
 //   - -mode churn: each client owns a dynamic graph session and streams
 //     deterministic mutation batches (exp.MutationStream; the generator
 //     kind rotates mix/window/hotspot across clients) against /v1/mutate,
@@ -17,26 +18,20 @@
 //     subscriber receipt) p50/p99. -rate throttles the writer.
 //
 // With no -addr it starts an in-process colord on a loopback port, so one
-// command measures the full HTTP round trip (-duration and -d are the same
-// flag; use either spelling):
+// command measures the full HTTP round trip:
 //
 //	loadgen -duration 5s -clients 8 -mix small
-//	loadgen -d 5s -mode churn -clients 8 -mix small -batch 16
+//	loadgen -duration 5s -mode churn -clients 8 -mix small -batch 16
 //	loadgen -addr http://localhost:7080 -mix medium -seeds 32
 //
-// Color mode drives the server through a raw persistent-connection HTTP/1.1
-// client by default (-driver raw): net/http's per-request overhead costs
-// more than colord's entire hit path, so the standard client (-driver std)
-// measures itself, not the server. -cpuprofile captures a client+server
-// profile of the measurement window when the server runs in-process.
+// Color mode's measured loop drives the server through a raw
+// persistent-connection HTTP/1.1 client: net/http's per-request overhead
+// costs more than colord's entire hit path, so a net/http loop would measure
+// itself, not the server. -cpuprofile captures a client+server profile of
+// the measurement window when the server runs in-process.
 //
-// With -bench the report is emitted in `go test -bench` format — including
-// process-wide B/op and allocs/op from runtime.MemStats deltas (client and
-// server combined when in-process) — so scripts/bench_service.sh can pipe it
-// through cmd/benchjson into the committed BENCH_service.json:
-//
-//	BenchmarkColord/mix=small/clients=8  <reqs>  <avg> ns/op  <B> B/op  <allocs> allocs/op  <p50> p50-ns ...
-//	BenchmarkChurn/mix=small/clients=8/batch=16  <reqs>  ... <mut/s> ...
+// The committed end-to-end numbers come from the colordbench module; the
+// mixes' palettes are pinned by this package's tests.
 package main
 
 import (
@@ -232,15 +227,6 @@ func startServer(addr string, workers, sessions, maxSubs, nodes int) (string, fu
 	return base, cleanup, nil
 }
 
-// nodesSuffix tags cluster benchmark names so single-node and scaled lines
-// never collide in BENCH_service.json.
-func nodesSuffix(nodes int) string {
-	if nodes <= 1 {
-		return ""
-	}
-	return fmt.Sprintf("/nodes=%d", nodes)
-}
-
 // memCounters is a snapshot of the process allocation counters; deltas over
 // the measurement window yield B/op and allocs/op. The numbers cover the
 // whole process — clients plus, when the server runs in-process, the entire
@@ -279,7 +265,6 @@ func run(args []string) error {
 	var (
 		addr     = fs.String("addr", "", "colord base URL (empty = start an in-process colord)")
 		duration = fs.Duration("duration", 5*time.Second, "how long to drive load")
-		dAlias   = fs.Duration("d", 5*time.Second, "alias for -duration")
 		clients  = fs.Int("clients", 8, "concurrent closed-loop clients")
 		mode     = fs.String("mode", "color", "workload mode: color|churn|subscribe")
 		mixName  = fs.String("mix", "small", "workload mix: small|medium|fewcolors (fewcolors: color mode only)")
@@ -290,9 +275,7 @@ func run(args []string) error {
 		warmup   = fs.Bool("warmup", true, "untimed cache-priming pass over the workload before the measured window (color mode)")
 		engine   = fs.String("engine", "", "request-level engine override (empty = server default; color mode)")
 		workers  = fs.Int("workers", 0, "in-process server workers (0 = GOMAXPROCS)")
-		driver   = fs.String("driver", "raw", "HTTP client driver: raw (persistent-connection wire client) or std (net/http); color mode")
 		profile  = fs.String("cpuprofile", "", "write a CPU profile of the measurement window to this file")
-		bench    = fs.Bool("bench", false, "emit the report in `go test -bench` format (includes B/op and allocs/op)")
 		nodes    = fs.Int("cluster", 0, "start an in-process N-node colord cluster behind a colorgate and drive it through the gateway (0 = single node; incompatible with -addr)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -301,30 +284,17 @@ func run(args []string) error {
 	if *nodes > 0 && *addr != "" {
 		return fmt.Errorf("-cluster starts its own in-process fleet; it cannot be combined with -addr")
 	}
-	// -d and -duration are the same knob with two spellings; setting both to
-	// different values is a contradiction, not a precedence puzzle.
-	set := map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if set["d"] && set["duration"] && *dAlias != *duration {
-		return fmt.Errorf("-d %v and -duration %v disagree; set one (they are aliases)", *dAlias, *duration)
-	}
-	if set["d"] {
-		*duration = *dAlias
-	}
 	if *clients < 1 || *seeds < 1 || *duration <= 0 || *batch < 1 {
 		return fmt.Errorf("need -clients >= 1, -seeds >= 1, -batch >= 1, -duration > 0 (got %d, %d, %d, %v)", *clients, *seeds, *batch, *duration)
 	}
-	if *driver != "raw" && *driver != "std" {
-		return fmt.Errorf("unknown driver %q (want raw or std)", *driver)
-	}
 	if *mode == "churn" {
-		return runChurn(*addr, *duration, *clients, *mixName, *batch, *workers, *nodes, *profile, *bench)
+		return runChurn(*addr, *duration, *clients, *mixName, *batch, *workers, *nodes, *profile)
 	}
 	if *mode == "subscribe" {
 		if *subs < 1 {
 			return fmt.Errorf("need -subs >= 1 (got %d)", *subs)
 		}
-		return runSubscribe(*addr, *duration, *subs, *rate, *mixName, *batch, *workers, *nodes, *profile, *bench)
+		return runSubscribe(*addr, *duration, *subs, *rate, *mixName, *batch, *workers, *nodes, *profile)
 	}
 	if *mode != "color" {
 		return fmt.Errorf("unknown mode %q (want color, churn, or subscribe)", *mode)
@@ -363,14 +333,11 @@ func run(args []string) error {
 	url := base + "/v1/color"
 	hostPort := strings.TrimPrefix(base, "http://")
 
-	// Raw driver: the full wire form of every request is prebuilt, so the
-	// send path is one Write per request.
-	var wires [][]byte
-	if *driver == "raw" {
-		wires = make([][]byte, len(workload))
-		for i, body := range workload {
-			wires[i] = formatRawRequest(hostPort, "/v1/color", body)
-		}
+	// The full wire form of every request is prebuilt, so the send path is
+	// one Write per request.
+	wires := make([][]byte, len(workload))
+	for i, body := range workload {
+		wires[i] = formatRawRequest(hostPort, "/v1/color", body)
 	}
 	transport := &http.Transport{MaxIdleConnsPerHost: *clients}
 	client := &http.Client{Transport: transport}
@@ -427,59 +394,30 @@ func run(args []string) error {
 		go func(c int) {
 			defer wg.Done()
 			res := &results[c]
-			var rc *rawClient
-			if *driver == "raw" {
-				rc = newRawClient(hostPort)
-				defer rc.close()
-			}
+			rc := newRawClient(hostPort)
+			defer rc.close()
 			// Stagger starting offsets so clients collide on different
 			// keys early (driving coalescing) and spread later.
 			i := (c * 31) % len(workload)
 			for time.Now().Before(deadline) {
 				idx := i % len(workload)
 				i++
-				if rc != nil {
-					start := time.Now()
-					r, err := rc.do(wires[idx])
-					if err != nil {
-						res.errors++
-						continue
-					}
-					res.requests++
-					res.latencies = append(res.latencies, time.Since(start))
-					if r.status != http.StatusOK {
-						res.errors++
-						continue
-					}
-					switch r.outcome {
-					case 'h':
-						res.hits++
-					case 'c':
-						res.coalesced++
-					default:
-						res.misses++
-					}
-					continue
-				}
 				start := time.Now()
-				resp, err := client.Post(url, "application/json", bytes.NewReader(workload[idx]))
+				r, err := rc.do(wires[idx])
 				if err != nil {
 					res.errors++
 					continue
 				}
-				_, _ = io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				lat := time.Since(start)
 				res.requests++
-				res.latencies = append(res.latencies, lat)
-				if resp.StatusCode != http.StatusOK {
+				res.latencies = append(res.latencies, time.Since(start))
+				if r.status != http.StatusOK {
 					res.errors++
 					continue
 				}
-				switch resp.Header.Get("X-Colord-Cache") {
-				case "hit":
+				switch r.outcome {
+				case 'h':
 					res.hits++
-				case "coalesced":
+				case 'c':
 					res.coalesced++
 				default:
 					res.misses++
@@ -506,30 +444,14 @@ func run(args []string) error {
 	if total.requests == 0 {
 		return fmt.Errorf("no requests completed within %v", *duration)
 	}
-	// Palette probe: one ?detail=1 request per workload template, off the
-	// clock (the measured window is over). Results are deterministic and the
-	// templates were served all window, so these are cache hits reporting the
-	// measured palette; the mean over templates is the workload's
-	// colors-used figure — the quality metric the fewcolors mix exists for.
-	var colorsUsedSum int64
-	for _, t := range templates {
-		b, err := json.Marshal(t)
-		if err != nil {
-			return err
-		}
-		resp, err := client.Post(url+"?detail=1", "application/json", bytes.NewReader(b))
-		if err != nil {
-			return fmt.Errorf("palette probe: %w", err)
-		}
-		var d service.DetailResponse
-		err = json.NewDecoder(resp.Body).Decode(&d)
-		resp.Body.Close()
-		if err != nil {
-			return fmt.Errorf("palette probe: %w", err)
-		}
-		colorsUsedSum += int64(d.ColorsUsed)
+	// Palette probe, off the clock (the measured window is over). The
+	// templates were served all window, so these are cache hits reporting
+	// the measured palette; the mean over templates is the quality figure
+	// the fewcolors mix exists for.
+	_, meanColors, err := probePalettes(client, url, templates)
+	if err != nil {
+		return err
 	}
-	meanColors := float64(colorsUsedSum) / float64(len(templates))
 	sort.Slice(total.latencies, func(i, j int) bool { return total.latencies[i] < total.latencies[j] })
 	pct := func(p float64) time.Duration {
 		idx := int(p * float64(len(total.latencies)-1))
@@ -545,19 +467,7 @@ func run(args []string) error {
 	bytesPerOp := (mem1.bytes - mem0.bytes) / uint64(total.requests)
 	allocsPerOp := (mem1.mallocs - mem0.mallocs) / uint64(total.requests)
 
-	if *bench {
-		// go test -bench format: benchjson turns the (value, unit) pairs
-		// into BENCH_service.json metrics.
-		fmt.Printf("goos: %s\ngoarch: %s\n", runtime.GOOS, runtime.GOARCH)
-		fmt.Printf("BenchmarkColord/mix=%s/clients=%d/seeds=%d%s \t%8d\t%12d ns/op\t%10d B/op\t%8d allocs/op\t%12d p50-ns\t%12d p99-ns\t%12d max-ns\t%10.1f req/s\t%8.4f hit-rate\t%8.4f coalesce-rate\t%10.2f colors-used\n",
-			*mixName, *clients, *seeds, nodesSuffix(*nodes), total.requests, avg.Nanoseconds(),
-			bytesPerOp, allocsPerOp,
-			pct(0.50).Nanoseconds(), pct(0.99).Nanoseconds(),
-			total.latencies[len(total.latencies)-1].Nanoseconds(),
-			rps, hitRate, float64(total.coalesced)/float64(total.requests), meanColors)
-		return nil
-	}
-	fmt.Printf("mix=%s clients=%d seeds=%d duration=%v driver=%s\n", *mixName, *clients, *seeds, *duration, *driver)
+	fmt.Printf("mix=%s clients=%d seeds=%d duration=%v\n", *mixName, *clients, *seeds, *duration)
 	fmt.Printf("requests: %d (%.1f req/s), errors: %d\n", total.requests, rps, total.errors)
 	fmt.Printf("latency: avg=%v p50=%v p99=%v max=%v\n", avg, pct(0.50), pct(0.99), total.latencies[len(total.latencies)-1])
 	fmt.Printf("alloc: %d B/op, %d allocs/op (process-wide: clients plus the in-process server)\n", bytesPerOp, allocsPerOp)
@@ -565,6 +475,38 @@ func run(args []string) error {
 		total.hits, 100*hitRate, total.coalesced, total.misses)
 	fmt.Printf("colors: mean colorsUsed=%.2f over %d templates (seed 0, ?detail=1)\n", meanColors, len(templates))
 	return nil
+}
+
+// probePalettes posts each template once (seed 0) with ?detail=1 and returns
+// every template's measured colorsUsed, in template order, and their mean.
+// Results are deterministic, so the probe reads the same palettes hit or
+// miss.
+func probePalettes(client *http.Client, url string, templates []service.Request) ([]int, float64, error) {
+	palettes := make([]int, len(templates))
+	sum := 0
+	for i, t := range templates {
+		b, err := json.Marshal(t)
+		if err != nil {
+			return nil, 0, err
+		}
+		resp, err := client.Post(url+"?detail=1", "application/json", bytes.NewReader(b))
+		if err != nil {
+			return nil, 0, fmt.Errorf("palette probe: %w", err)
+		}
+		var d service.DetailResponse
+		if resp.StatusCode != http.StatusOK {
+			err = fmt.Errorf("status %d", resp.StatusCode)
+		} else {
+			err = json.NewDecoder(resp.Body).Decode(&d)
+		}
+		resp.Body.Close()
+		if err != nil {
+			return nil, 0, fmt.Errorf("palette probe: %w", err)
+		}
+		palettes[i] = d.ColorsUsed
+		sum += d.ColorsUsed
+	}
+	return palettes, float64(sum) / float64(len(templates)), nil
 }
 
 // churnBases names the session base graphs of the churn mixes.
@@ -587,7 +529,7 @@ var churnKinds = []string{"mix", "window", "hotspot"}
 // and streams deterministic mutation batches at it, rolling over to a fresh
 // session when its (long) pre-generated stream runs out. Reported latency is
 // per mutate request (one batch = one repair per op, server-side).
-func runChurn(addr string, duration time.Duration, clients int, mixName string, batch, workers, nodes int, profile string, bench bool) error {
+func runChurn(addr string, duration time.Duration, clients int, mixName string, batch, workers, nodes int, profile string) error {
 	base, err := churnBases(mixName)
 	if err != nil {
 		return err
@@ -725,15 +667,6 @@ func runChurn(addr string, duration time.Duration, clients int, mixName string, 
 	bytesPerOp := (mem1.bytes - mem0.bytes) / uint64(total.requests)
 	allocsPerOp := (mem1.mallocs - mem0.mallocs) / uint64(total.requests)
 
-	if bench {
-		fmt.Printf("goos: %s\ngoarch: %s\n", runtime.GOOS, runtime.GOARCH)
-		fmt.Printf("BenchmarkChurn/mix=%s/clients=%d/batch=%d%s \t%8d\t%12d ns/op\t%10d B/op\t%8d allocs/op\t%12d p50-ns\t%12d p99-ns\t%12d max-ns\t%10.1f req/s\t%10.1f mut/s\n",
-			mixName, clients, batch, nodesSuffix(nodes), total.requests, avg.Nanoseconds(),
-			bytesPerOp, allocsPerOp,
-			pct(0.50).Nanoseconds(), pct(0.99).Nanoseconds(),
-			total.latencies[len(total.latencies)-1].Nanoseconds(), rps, mps)
-		return nil
-	}
 	fmt.Printf("mode=churn mix=%s clients=%d batch=%d duration=%v\n", mixName, clients, batch, duration)
 	fmt.Printf("requests: %d (%.1f req/s), mutations: %d (%.1f mut/s), errors: %d\n",
 		total.requests, rps, total.mutations, mps, total.errors)

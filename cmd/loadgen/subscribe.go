@@ -149,7 +149,7 @@ func subscriber(ctx context.Context, client *http.Client, url string, res *subRe
 // runSubscribe drives the subscribe workload and reports it. rate throttles
 // the writer to that many mutations per second (0 = as fast as the server
 // accepts); batch is ops per mutate request (each op is still one delta).
-func runSubscribe(addr string, duration time.Duration, subs, rate int, mixName string, batch, workers, nodes int, profile string, bench bool) error {
+func runSubscribe(addr string, duration time.Duration, subs, rate int, mixName string, batch, workers, nodes int, profile string) error {
 	base, err := churnBases(mixName)
 	if err != nil {
 		return err
@@ -290,16 +290,6 @@ func runSubscribe(addr string, duration time.Duration, subs, rate int, mixName s
 	bytesPerOp := (mem1.bytes - mem0.bytes) / uint64(total.deliveries)
 	allocsPerOp := (mem1.mallocs - mem0.mallocs) / uint64(total.deliveries)
 
-	if bench {
-		fmt.Printf("goos: %s\ngoarch: %s\n", runtime.GOOS, runtime.GOARCH)
-		fmt.Printf("BenchmarkSubscribe/mix=%s/subs=%d/rate=%d/batch=%d%s \t%8d\t%12d ns/op\t%10d B/op\t%8d allocs/op\t%12d delta-p50-ns\t%12d delta-p99-ns\t%12d delta-max-ns\t%10.1f mut/s\t%10.1f deliveries/s\t%8d overflows\n",
-			mixName, subs, rate, batch, nodesSuffix(nodes), total.deliveries,
-			pct(0.50).Nanoseconds(), bytesPerOp, allocsPerOp,
-			pct(0.50).Nanoseconds(), pct(0.99).Nanoseconds(),
-			total.latencies[len(total.latencies)-1].Nanoseconds(),
-			mps, dps, total.overflows)
-		return nil
-	}
 	fmt.Printf("mode=subscribe mix=%s subs=%d rate=%d batch=%d duration=%v\n", mixName, subs, rate, batch, duration)
 	fmt.Printf("writer: %d mutations in %d requests (%.1f mut/s)\n", mutations, requests, mps)
 	fmt.Printf("fan-out: %d deliveries (%.1f/s), %d overflow drops, %d gaps\n",

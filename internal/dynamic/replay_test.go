@@ -172,8 +172,9 @@ func TestReplayRejectsFingerprintMismatch(t *testing.T) {
 
 // BenchmarkWALReplay measures session recovery: open a WAL of 200 committed
 // mutations and rebuild the maintainer (initial canonical run + incremental
-// re-application, fingerprint-checked per record). recovery-ns is the gated
-// per-recovery wall time in BENCH_service.json.
+// re-application, fingerprint-checked per record). recovery-ns is the
+// per-recovery wall time; BENCH_runtime.json records it, and benchcmp gates
+// the row's ns/op.
 func BenchmarkWALReplay(b *testing.B) {
 	s := exp.MutationStream{Kind: "mix", Base: exp.GraphSpec{Family: "gnm", N: 96, M: 300, Seed: 4}, Ops: 200, Seed: 13}
 	_, muts, err := s.Generate()

@@ -13,7 +13,9 @@
 # batched window stream through Maintainer.Apply, and WAL replay. The
 # internal/algreg rows (BenchmarkServedAlgos/{alg}/{compiled,lockstep})
 # price every servable algorithm on its small-mix graph the way a service
-# miss runs it, flat pass or one-shot scheduler run.
+# miss runs it, flat pass or one-shot scheduler run. The internal/service
+# rows (BenchmarkHitPath, BenchmarkHitPathParallel) price the serving fast
+# path alone, in-process: hash, striped lookup, counters, zero allocations.
 #
 # Usage:
 #   scripts/bench.sh                 # full run, writes BENCH_runtime.json
@@ -27,6 +29,6 @@ OUT="${OUT:-BENCH_runtime.json}"
 TXT="$(mktemp)"
 trap 'rm -f "$TXT"' EXIT
 
-go test -run '^$' -bench . -benchmem -benchtime "$BENCHTIME" . ./internal/dist/ ./internal/dynamic/ ./internal/algreg/ | tee "$TXT"
+go test -run '^$' -bench . -benchmem -benchtime "$BENCHTIME" . ./internal/dist/ ./internal/dynamic/ ./internal/algreg/ ./internal/service/ | tee "$TXT"
 go run ./cmd/benchjson < "$TXT" > "$OUT"
 echo "wrote $OUT" >&2

@@ -12,9 +12,8 @@
 #   3. the gateway /statz shows all peers healthy and forwards counted.
 #
 # Then drives a short loadgen pass against the gateway for a req/s sanity
-# line. This is a smoke, not a measurement: the committed scaling curve in
-# BENCH_service.json comes from scripts/bench_service.sh's in-process
-# -cluster runs.
+# line. This is a smoke, not a measurement: the committed gateway numbers
+# come from colordbench's gateway-read workload.
 #
 # Usage:
 #   scripts/bench_cluster.sh              # full smoke (~15s)
@@ -105,5 +104,5 @@ echo "$STATZ" | grep -q '"healthyPeers":3' || { echo "FAIL: not all peers health
 echo "smoke: gateway reports 3 healthy peers"
 
 # 4. Short loadgen line against the deployed gateway.
-"$WORK/loadgen" -bench -addr "$GW" -duration "$DURATION" -clients 4 -mix small -seeds 8
+"$WORK/loadgen" -addr "$GW" -duration "$DURATION" -clients 4 -mix small -seeds 8
 echo "cluster smoke passed" >&2
