@@ -61,9 +61,9 @@ type Algorithm struct {
 	// return it with its palette bound for that instance. Exactly one is set
 	// on a servable entry, matching Kind. The returned Algo runs on all four
 	// engines: it always carries the per-vertex form, and a compiled flat
-	// pass where one exists (the greedy baselines, edge/pr, and edge/be when
-	// its plan has depth 0); without one, Compiled runs it as a one-shot
-	// Lockstep run.
+	// pass where one exists (every servable entry but edge/fewcolors, and
+	// edge/be only when its plan has depth 0, which every default plan
+	// has); without one, Compiled runs it as a one-shot Lockstep run.
 	BuildEdge   func(g *graph.Graph, p Params) (dist.Algo[[]int], int, error)
 	BuildVertex func(g *graph.Graph, p Params) (dist.Algo[int], int, error)
 

@@ -138,6 +138,73 @@ func TestServableBuild(t *testing.T) {
 	}
 }
 
+// TestServedBundlesHaveFlatPass: at default parameters every servable Build
+// hook but edge/fewcolors' returns a bundle with a flat pass, so a default
+// miss never enters the scheduler. It checks the small-mix graphs, two
+// graphs on which vertex/be's default plan recurses (powercycle(200,10),
+// Δ=20, depth 1; powercycle(200,27), Δ=54, depth 2), and an edgeless graph
+// (vertex/be's Δ=0 branch); every flat pass must match Lockstep.
+func TestServedBundlesHaveFlatPass(t *testing.T) {
+	const exception = "edge/fewcolors" // flat fewcolors is not written yet
+	var graphs []*graph.Graph
+	for _, spec := range []exp.GraphSpec{
+		smallMixGraphs["edge/be"], smallMixGraphs["edge/pr"], smallMixGraphs["edge/greedy"],
+		smallMixGraphs["vertex/be"], smallMixGraphs["vertex/greedy"],
+		{Family: "powercycle", N: 200, Deg: 10},
+		{Family: "powercycle", N: 200, Deg: 27},
+	} {
+		g, err := spec.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		graphs = append(graphs, g)
+	}
+	edgeless := graph.NewBuilder(5).Build()
+	for _, a := range algreg.Servable() {
+		name := a.Kind + "/" + a.Name
+		p := algreg.Params{B: 2, C: 2, Mode: "wide"}
+		if a.Kind == "edge" {
+			p.C = 0
+		}
+		if err := a.Canon(&p); err != nil {
+			t.Fatal(err)
+		}
+		gs := graphs
+		if a.Kind == "vertex" {
+			gs = append(gs[:len(gs):len(gs)], edgeless)
+		}
+		for _, g := range gs {
+			var flat bool
+			var err error
+			if a.Kind == "edge" {
+				algo, _, berr := a.BuildEdge(g, p)
+				if berr != nil {
+					t.Fatalf("%s on %v: %v", name, g, berr)
+				}
+				flat = algo.Compiled != nil
+				if flat {
+					err = compiledMatchesLockstep(g, algo)
+				}
+			} else {
+				algo, _, berr := a.BuildVertex(g, p)
+				if berr != nil {
+					t.Fatalf("%s on %v: %v", name, g, berr)
+				}
+				flat = algo.Compiled != nil
+				if flat {
+					err = compiledMatchesLockstep(g, algo)
+				}
+			}
+			if flat != (name != exception) {
+				t.Fatalf("%s on %v: flat pass bundled = %v", name, g, flat)
+			}
+			if err != nil {
+				t.Fatalf("%s on %v: %v", name, g, err)
+			}
+		}
+	}
+}
+
 // compiledMatchesLockstep runs algo under Compiled and under Lockstep, and
 // reports any difference in Outputs or Stats.
 func compiledMatchesLockstep[T any](g *graph.Graph, algo dist.Algo[T]) error {
@@ -158,10 +225,11 @@ func compiledMatchesLockstep[T any](g *graph.Graph, algo dist.Algo[T]) error {
 	return nil
 }
 
-// TestKWAllocs is the allocation budget of one served vertex/be run — the
-// Procedure Legal-Color pipeline whose leaf is reduce.KWReduceColors — under
-// the Compiled engine on its small-mix graph, with the service's default
-// parameters.
+// TestKWAllocs is the allocation budget of one per-vertex vertex/be run —
+// the Procedure Legal-Color pipeline whose leaf is reduce.KWReduceColors —
+// on its small-mix graph, with the service's default parameters. Bundled
+// without its flat pass, the Compiled engine runs it as a one-shot Lockstep
+// run; the flat pass has its own budget (core's TestLegalCompiledAllocs).
 func TestKWAllocs(t *testing.T) {
 	const kwAllocBudget = 1100
 	a, ok := algreg.Lookup("vertex", "be")
@@ -176,10 +244,11 @@ func TestKWAllocs(t *testing.T) {
 	if err := a.Canon(&p); err != nil {
 		t.Fatal(err)
 	}
-	algo, _, err := a.BuildVertex(g, p)
+	built, _, err := a.BuildVertex(g, p)
 	if err != nil {
 		t.Fatal(err)
 	}
+	algo := dist.Algo[int]{Vertex: built.Vertex}
 	allocs := testing.AllocsPerRun(20, func() {
 		if _, err := dist.RunAlgo(g, algo, dist.WithEngine(dist.Compiled)); err != nil {
 			t.Fatal(err)

@@ -20,59 +20,74 @@ var smallMixGraphs = map[string]exp.GraphSpec{
 	"vertex/greedy":  {Family: "cycle", N: 64},
 }
 
+// deepGraphs names, per algorithm, a graph on which its default plan has
+// depth 1, benchmarked as the row "{alg}-depth1" next to the small-mix row:
+// vertex/be's plan recurses once on powercycle(200,10), Δ=20.
+var deepGraphs = map[string]exp.GraphSpec{
+	"vertex/be": {Family: "powercycle", N: 200, Deg: 10},
+}
+
 // BenchmarkServedAlgos runs every servable algorithm on its small-mix graph
-// with the service's default parameters, under the Compiled engine the way
-// the service does — one dist.RunAlgo per request — and under Lockstep (the
-// scheduler on a reused Runner). Under Compiled the greedy algorithms,
-// edge/pr and edge/be (whose default plan has depth 0 on its graph) run
-// their flat passes, and vertex/be and edge/fewcolors one-shot Lockstep
-// runs on fresh Runners, so those compiled/lockstep pairs price what
-// keeping no vertex state between runs costs per run. scripts/bench.sh
-// records these rows in BENCH_runtime.json.
+// (and on its deepGraphs entry, if any) with the service's default
+// parameters, under the Compiled engine the way the service does — one
+// dist.RunAlgo per request — and under Lockstep (the scheduler on a reused
+// Runner). Under Compiled every algorithm but edge/fewcolors runs its flat
+// pass; edge/fewcolors runs a one-shot Lockstep run on a fresh Runner, so
+// its compiled/lockstep pair prices what keeping no vertex state between
+// runs costs per run. scripts/bench.sh records these rows in
+// BENCH_runtime.json.
 func BenchmarkServedAlgos(b *testing.B) {
 	for _, a := range algreg.Servable() {
 		name := a.Kind + "/" + a.Name
-		spec, ok := smallMixGraphs[name]
-		if !ok {
+		if _, ok := smallMixGraphs[name]; !ok {
 			b.Fatalf("%s: no small-mix graph", name)
 		}
-		g, err := spec.Build()
+		benchServed(b, a, name, smallMixGraphs[name])
+		if spec, ok := deepGraphs[name]; ok {
+			benchServed(b, a, name+"-depth1", spec)
+		}
+	}
+}
+
+// benchServed emits the compiled and lockstep rows of one servable
+// algorithm on one graph.
+func benchServed(b *testing.B, a *algreg.Algorithm, name string, spec exp.GraphSpec) {
+	g, err := spec.Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := algreg.Params{B: 2, C: 2, Mode: "wide"}
+	if a.Kind == "edge" {
+		p.C = 0
+	}
+	if err := a.Canon(&p); err != nil {
+		b.Fatal(err)
+	}
+	var run func(dist.Engine) (dist.Stats, error)
+	if a.Kind == "edge" {
+		algo, _, err := a.BuildEdge(g, p)
 		if err != nil {
 			b.Fatal(err)
 		}
-		p := algreg.Params{B: 2, C: 2, Mode: "wide"}
-		if a.Kind == "edge" {
-			p.C = 0
-		}
-		if err := a.Canon(&p); err != nil {
+		run = servedRun(b, g, algo)
+	} else {
+		algo, _, err := a.BuildVertex(g, p)
+		if err != nil {
 			b.Fatal(err)
 		}
-		var run func(dist.Engine) (dist.Stats, error)
-		if a.Kind == "edge" {
-			algo, _, err := a.BuildEdge(g, p)
-			if err != nil {
-				b.Fatal(err)
-			}
-			run = servedRun(b, g, algo)
-		} else {
-			algo, _, err := a.BuildVertex(g, p)
-			if err != nil {
-				b.Fatal(err)
-			}
-			run = servedRun(b, g, algo)
-		}
-		for _, e := range []dist.Engine{dist.Compiled, dist.Lockstep} {
-			b.Run(name+"/"+e.String(), func(b *testing.B) {
-				b.ReportAllocs()
-				var st dist.Stats
-				for i := 0; i < b.N; i++ {
-					if st, err = run(e); err != nil {
-						b.Fatal(err)
-					}
+		run = servedRun(b, g, algo)
+	}
+	for _, e := range []dist.Engine{dist.Compiled, dist.Lockstep} {
+		b.Run(name+"/"+e.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			var st dist.Stats
+			for i := 0; i < b.N; i++ {
+				if st, err = run(e); err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(float64(st.Rounds), "rounds")
-			})
-		}
+			}
+			b.ReportMetric(float64(st.Rounds), "rounds")
+		})
 	}
 }
 

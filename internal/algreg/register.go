@@ -144,17 +144,17 @@ func init() {
 				if g.N() > 0 {
 					palette = 1
 				}
-				return dist.Algo[int]{Vertex: func(v dist.Process) int { return 1 }}, palette, nil
+				return dist.Algo[int]{Vertex: func(v dist.Process) int { return 1 }, Compiled: oneColor{}}, palette, nil
 			}
 			pl, err := core.AutoPlan(delta, p.C, p.B, p.P, false)
 			if err != nil {
 				return dist.Algo[int]{}, 0, err
 			}
-			algo, err := core.LegalColorProcess(g.N(), delta, pl, core.StartIDs)
+			algo, err := core.LegalColorAlgo(g.N(), delta, pl, core.StartIDs)
 			if err != nil {
 				return dist.Algo[int]{}, 0, err
 			}
-			return dist.Algo[int]{Vertex: algo}, pl.TotalPalette(), nil
+			return algo, pl.TotalPalette(), nil
 		},
 		RunVertex: runLegal(core.StartIDs),
 	})
@@ -237,6 +237,17 @@ func legalEdgeAlgo(g *graph.Graph, p Params) (dist.Algo[[]int], *core.Plan, erro
 	}
 	algo, err := edgecolor.LegalEdgeAlgo(g.MaxDegree(), pl, msgMode(p.Mode))
 	return algo, pl, err
+}
+
+// oneColor is the flat pass of the edgeless 1-coloring: no vertex calls
+// Round, so the run spends no rounds.
+type oneColor struct{}
+
+func (oneColor) RunCompiled(_ *graph.Graph, _ dist.CompiledEnv, out []int) (dist.Stats, error) {
+	for v := range out {
+		out[v] = 1
+	}
+	return dist.Stats{}, nil
 }
 
 // runLegal builds the Legal-Color CLI hook for a start mode: plan note plus

@@ -473,3 +473,30 @@ func TestClusterPeerDeathMidRun(t *testing.T) {
 		}
 	}
 }
+
+// TestGatewayForwardsQuery: the gateway forwards the query string on both
+// routes, so ?detail=1 through a 2-node gateway answers with the status and
+// body the owning node gives the same request sent to it directly — the
+// detail envelope included.
+func TestGatewayForwardsQuery(t *testing.T) {
+	tc := startCluster(t, 2, service.Config{Workers: 2})
+	for _, c := range []struct{ path, setup, body string }{
+		{"/v1/color", "", string(colorBody(40, 3))},
+		{"/v1/mutate", `{"session":"q","base":{"family":"gnm","n":24,"m":50,"seed":1}}`, `{"session":"q"}`},
+	} {
+		if c.setup != "" {
+			if resp, data := postJSON(t, tc.gwSrv.URL+c.path, []byte(c.setup)); resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s setup: %d: %s", c.path, resp.StatusCode, data)
+			}
+		}
+		resp, got := postJSON(t, tc.gwSrv.URL+c.path+"?detail=1", []byte(c.body))
+		owner := resp.Header.Get("X-Colord-Peer")
+		direct, want := postJSON(t, owner+c.path+"?detail=1", []byte(c.body))
+		if resp.StatusCode != direct.StatusCode || !bytes.Equal(got, want) {
+			t.Fatalf("%s?detail=1: gateway %d %s, owner %s %d %s", c.path, resp.StatusCode, got, owner, direct.StatusCode, want)
+		}
+		if resp.StatusCode != http.StatusOK || !bytes.Contains(got, []byte(`"paletteBound"`)) {
+			t.Fatalf("%s?detail=1: %d %s, want the detail envelope", c.path, resp.StatusCode, got)
+		}
+	}
+}

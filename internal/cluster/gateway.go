@@ -257,10 +257,19 @@ func (g *Gateway) serveColor(w http.ResponseWriter, r *http.Request) {
 		if i > 0 {
 			g.ctr.retries.Add(1)
 		}
-		if g.forward(w, "/v1/color", body, st, true, i == len(order)-1) {
+		if g.forward(w, withQuery("/v1/color", r), body, st, true, i == len(order)-1) {
 			return
 		}
 	}
+}
+
+// withQuery returns path followed by r's query string, if it has one, so
+// request options such as ?detail=1 reach the node.
+func withQuery(path string, r *http.Request) string {
+	if r.URL.RawQuery == "" {
+		return path
+	}
+	return path + "?" + r.URL.RawQuery
 }
 
 // serveMutate routes a session request to its owner. Mutations are not
@@ -285,7 +294,7 @@ func (g *Gateway) serveMutate(w http.ResponseWriter, r *http.Request) {
 	order := g.rank(SessionKey(probe.Session))
 	for i, st := range order {
 		last := i == len(order)-1
-		req, err := http.NewRequest("POST", st.url+"/v1/mutate", strings.NewReader(string(body)))
+		req, err := http.NewRequest("POST", st.url+withQuery("/v1/mutate", r), strings.NewReader(string(body)))
 		if err != nil {
 			httpError(w, http.StatusInternalServerError, err.Error())
 			return

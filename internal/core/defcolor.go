@@ -111,10 +111,14 @@ func DefectiveColorStep(v dist.Process, same []bool, p int, phiSteps []linial.St
 	if psi == 0 {
 		// The Lemma 3.2 bound guarantees this cannot happen when the window
 		// is respected by all participants.
-		panic(fmt.Sprintf("core: vertex id %d failed to select ψ within %d rounds (ϕ=%d)",
-			v.ID(), phiPalette, phi))
+		panic(noPsi(v.ID(), phiPalette, phi))
 	}
 	return DefectiveResult{Psi: psi, NbrPsi: nbrPsi}
+}
+
+// noPsi is the panic value of a vertex left without a ψ after the window.
+func noPsi(id, window, phi int) string {
+	return fmt.Sprintf("core: vertex id %d failed to select ψ within %d rounds (ϕ=%d)", id, window, phi)
 }
 
 // argminCount returns the least-loaded ψ-color (ties to the smallest color),

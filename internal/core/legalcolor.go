@@ -25,7 +25,8 @@ const (
 
 // LegalColoring runs Procedure Legal-Color (Algorithm 2) on a graph with
 // neighborhood independence at most pl.C, producing a legal coloring with at
-// most pl.TotalPalette() colors.
+// most pl.TotalPalette() colors. It runs the LegalColorAlgo bundle, so the
+// Compiled engine executes the flat pass.
 //
 // The recursion is executed level-synchronously, which Lemma 4.4 justifies:
 // all invocations of one recursion level share the same parameters
@@ -40,13 +41,11 @@ func LegalColoring(g *graph.Graph, pl *Plan, mode Mode, opts ...dist.Option) (*d
 	if d := g.MaxDegree(); d > pl.Delta {
 		return nil, fmt.Errorf("core: graph degree %d exceeds plan Δ=%d", d, pl.Delta)
 	}
-	sched, err := newSchedule(g.N(), g.MaxDegree(), pl, mode)
+	algo, err := LegalColorAlgo(g.N(), g.MaxDegree(), pl, mode)
 	if err != nil {
 		return nil, err
 	}
-	return dist.Run(g, func(v dist.Process) int {
-		return legalColorVertex(v, pl, sched)
-	}, opts...)
+	return dist.RunAlgo(g, algo, opts...)
 }
 
 // LegalColorProcess returns the per-process body of Procedure Legal-Color
@@ -55,19 +54,8 @@ func LegalColoring(g *graph.Graph, pl *Plan, mode Mode, opts ...dist.Option) (*d
 // line-graph simulation (package lgsim), where identifiers are edge pairs
 // from a space of size (n+1)².
 func LegalColorProcess(nBound, delta int, pl *Plan, mode Mode) (func(v dist.Process) int, error) {
-	if pl.Edge {
-		return nil, fmt.Errorf("core: edge-mode plan passed to vertex LegalColorProcess")
-	}
-	if delta > pl.Delta {
-		return nil, fmt.Errorf("core: degree bound %d exceeds plan Δ=%d", delta, pl.Delta)
-	}
-	sched, err := newSchedule(nBound, delta, pl, mode)
-	if err != nil {
-		return nil, err
-	}
-	return func(v dist.Process) int {
-		return legalColorVertex(v, pl, sched)
-	}, nil
+	algo, err := LegalColorAlgo(nBound, delta, pl, mode)
+	return algo.Vertex, err
 }
 
 // LegalRounds returns the exact number of communication rounds every process

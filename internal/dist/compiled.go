@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/graph"
+	"repro/internal/wire"
 )
 
 // This file is the Compiled engine: whole-run execution of an algorithm in
@@ -101,6 +102,66 @@ func (t *Tally) Messages(count, size int) {
 	if size > t.Stats.MaxMessageBytes {
 		t.Stats.MaxMessageBytes = size
 	}
+}
+
+// VertexPanicError is the error a run reports when the vertex with
+// identifier id panics with value v. The scheduler and every flat pass that
+// reproduces a per-vertex panic produce byte-identical text through it.
+func VertexPanicError(id int, v any) error {
+	return fmt.Errorf("dist: vertex id %d panicked: %v", id, v)
+}
+
+// PortMask is a flat pass's port table with a per-port mask, the flat
+// counterpart of the per-port []bool a per-vertex form keeps to restrict
+// itself to a subgraph. Port p of vertex v is slot Off[v]+p of every
+// per-slot array, In[s] says whether slot s is inside the subgraph, and
+// Deg[v] counts v's slots that are. Callers narrowing In keep Deg in step
+// and keep the mask symmetric: a port is in exactly when its reverse is.
+type PortMask struct {
+	G   *graph.Graph
+	Off []int32
+	In  []bool
+	Deg []int
+}
+
+// NewPortMask returns the mask of g with every port in.
+func NewPortMask(g *graph.Graph) *PortMask {
+	n := g.N()
+	pm := &PortMask{G: g, Off: make([]int32, n+1), Deg: make([]int, n)}
+	for v := 0; v < n; v++ {
+		pm.Deg[v] = g.Deg(v)
+		pm.Off[v+1] = pm.Off[v] + int32(pm.Deg[v])
+	}
+	pm.In = make([]bool, pm.Off[n])
+	for s := range pm.In {
+		pm.In[s] = true
+	}
+	return pm
+}
+
+// Exchange accounts one round in which every vertex arrives and sends one
+// integer, vals[v], on each of its in-ports: the round a per-vertex
+// broadcast of one wire.Writer.Int on the masked ports stages.
+func (pm *PortMask) Exchange(t *Tally, vals []int) error {
+	if err := t.StartRound(len(vals)); err != nil {
+		return err
+	}
+	for v, x := range vals {
+		t.Messages(pm.Deg[v], wire.IntLen(x))
+	}
+	return nil
+}
+
+// Gather appends to dst, in port order, vals[u] for the neighbor u on each
+// in-port of v: what v receives in an Exchange of vals.
+func (pm *PortMask) Gather(dst []int, v int, vals []int) []int {
+	in := pm.In[pm.Off[v]:pm.Off[v+1]]
+	for p, u := range pm.G.Neighbors(v) {
+		if in[p] {
+			dst = append(dst, vals[u])
+		}
+	}
+	return dst
 }
 
 // roundCapErr is the shared round-cap error; the scheduler and every Tally

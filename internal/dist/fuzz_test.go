@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/baseline"
+	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/graph"
 	"repro/internal/panconesi"
@@ -18,9 +19,12 @@ import (
 //     never exercises;
 //   - the hand-written flat passes under Compiled: the greedy vertex and
 //     edge colorings, and Panconesi–Rizzi with degBound Δ + k%3 (the slack
-//     edge/be's leaf bound can have), once uncapped and once under
+//     edge/be's leaf bound can have), and Procedure Legal-Color in both
+//     modes at the default vertex plan, each once uncapped and once under
 //     WithMaxRounds(1 + k%40), so a tripped cap's error text and partial
-//     Stats are compared too.
+//     Stats are compared too. Legal-Color assumes neighborhood
+//     independence at most 2, which arbitrary graphs break, so its
+//     per-vertex panics are compared as well.
 //
 // Each must agree with Lockstep byte for byte — Outputs, Stats and error
 // text — so any delivery, port or accounting confusion shows up as a diff.
@@ -66,6 +70,25 @@ func FuzzCompiledAgree(f *testing.F) {
 		wantP, werr = dist.RunAlgo(g, pr, capped, lockstep)
 		gotP, gerr = dist.RunAlgo(g, pr, capped, dist.WithEngine(dist.Compiled))
 		agree(t, "capped panconesi on compiled", wantP, gotP, werr, gerr)
+
+		if g.MaxDegree() == 0 {
+			return
+		}
+		pl, err := core.AutoPlan(g.MaxDegree(), 2, 2, 9, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, mode := range []core.Mode{core.StartIDs, core.StartAux} {
+			legal, err := core.LegalColorAlgo(g.N(), g.MaxDegree(), pl, mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, opt := range []dist.Option{seeded, capped} {
+				wantL, werr := dist.RunAlgo(g, legal, opt, lockstep)
+				gotL, gerr := dist.RunAlgo(g, legal, opt, dist.WithEngine(dist.Compiled))
+				agree(t, "legal-color on compiled", wantL, gotL, werr, gerr)
+			}
+		}
 	})
 }
 

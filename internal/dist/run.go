@@ -401,7 +401,7 @@ func sameBuffer(a, b []byte) bool {
 func (p *proc[T]) instance() {
 	defer func() {
 		if v := recover(); v != nil && !p.exiting {
-			p.shard.err = fmt.Errorf("dist: vertex id %d panicked: %v", p.id, v)
+			p.shard.err = VertexPanicError(p.id, v)
 			p.s.status[p.idx] = statusDone
 		}
 	}()

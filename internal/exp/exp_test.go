@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/dist"
 )
 
@@ -87,7 +88,7 @@ func TestArtifactsConfigIndependent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments are not short")
 	}
-	for _, name := range []string{"fig1", "cor54", "defectproduct"} {
+	for _, name := range []string{"fig1", "cor54", "defectproduct", "vertexscaling"} {
 		e, ok := Lookup(name)
 		if !ok {
 			t.Fatalf("missing %q", name)
@@ -101,6 +102,7 @@ func TestArtifactsConfigIndependent(t *testing.T) {
 			{Workers: 1, Engine: dist.Sharded},
 			{Workers: 8, Engine: dist.Sharded},
 			{Workers: 3, Engine: dist.Lockstep},
+			{Workers: 2, Engine: dist.Compiled},
 		} {
 			var got bytes.Buffer
 			if err := e.Run(&got, cfg); err != nil {
@@ -110,6 +112,47 @@ func TestArtifactsConfigIndependent(t *testing.T) {
 				t.Fatalf("%s: artifact differs under %+v", name, cfg)
 			}
 		}
+	}
+}
+
+// TestVertexScaling pins claim E2 (Theorems 4.5/4.6): every row of the
+// vertexscaling artifact — plan depths 0 to 3 — is a legal coloring, and
+// its rounds are exactly core.LegalRounds(600, Δ, plan, StartAux) for the
+// row's plan, AutoPlan(Δ, 2, 2, 6).
+func TestVertexScaling(t *testing.T) {
+	e, ok := Lookup("vertexscaling")
+	if !ok {
+		t.Fatal("missing vertexscaling")
+	}
+	var buf bytes.Buffer
+	if err := e.Run(&buf, Config{}); err != nil {
+		t.Fatal(err)
+	}
+	var depths []int
+	for _, line := range strings.Split(buf.String(), "\n") {
+		f := strings.Fields(line) // n Δ depth rounds colors ϑ(0) legal
+		if len(f) != 7 || f[0] != "600" {
+			continue
+		}
+		var delta, depth, rounds int
+		if _, err := fmt.Sscan(f[1]+" "+f[2]+" "+f[3], &delta, &depth, &rounds); err != nil {
+			t.Fatalf("row %q: %v", line, err)
+		}
+		pl, err := core.AutoPlan(delta, 2, 2, 6, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := core.LegalRounds(600, delta, pl, core.StartAux)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f[6] != "ok" || depth != pl.Depth() || rounds != want {
+			t.Fatalf("row %q: want depth %d, %d rounds, legal ok", line, pl.Depth(), want)
+		}
+		depths = append(depths, depth)
+	}
+	if fmt.Sprint(depths) != "[0 1 2 3]" {
+		t.Fatalf("row depths %v, want [0 1 2 3]:\n%s", depths, buf.String())
 	}
 }
 

@@ -83,22 +83,55 @@ func legalStep(k, degBound int) (Step, bool) {
 // Neighbors whose color equals the vertex's own are skipped: in a legal
 // chain they cannot exist; in a defective chain they are the already-spent
 // defect, which the caller accounts separately (Theorem 4.7's d′ term).
+// It panics with the error ApplyScratch returns.
 func (s Step) Apply(own int, nbrs []int) int {
-	if own < 1 || own > s.K {
-		panic(fmt.Sprintf("linial: color %d outside palette 1..%d", own, s.K))
+	c, err := s.ApplyScratch(own, nbrs, new(Scratch))
+	if err != nil {
+		panic(err.Error())
 	}
-	mine := coeffs(own-1, s.Q, s.T)
+	return c
+}
+
+// Scratch is the working memory of ApplyScratch and RunChainFlat; the zero
+// value is ready, and one Scratch serves any number of steps.
+type Scratch struct {
+	buf, nbrs, next []int
+}
+
+// ints returns a zeroed slice of length n backed by b, growing b if needed.
+func ints(b *[]int, n int) []int {
+	if cap(*b) < n {
+		*b = make([]int, n)
+	}
+	out := (*b)[:n]
+	clear(out)
+	return out
+}
+
+// ApplyScratch is Apply with caller-owned working memory: the same color,
+// and no allocation once sc has grown to the step's size. It returns an
+// error where Apply panics: an own color outside the palette, or a best
+// point whose conflicts exceed the budget.
+func (s Step) ApplyScratch(own int, nbrs []int, sc *Scratch) (int, error) {
+	if own < 1 || own > s.K {
+		return 0, fmt.Errorf("linial: color %d outside palette 1..%d", own, s.K)
+	}
+	buf := ints(&sc.buf, 2*s.Q+2*(s.T+1))
 	// conflicts[a] = number of differently-colored neighbors whose
-	// polynomial agrees with ours at point a.
-	conflicts := make([]int, s.Q)
-	scratch := make([]int, s.T+1)
+	// polynomial agrees with ours at point a; mineAt[a] is ours there.
+	conflicts, mineAt := buf[:s.Q], buf[s.Q:2*s.Q]
+	mine := coeffsInto(buf[2*s.Q:2*s.Q+s.T+1], own-1, s.Q, s.T)
+	other := buf[2*s.Q+s.T+1:]
+	for a := range mineAt {
+		mineAt[a] = evalPoly(mine, a, s.Q)
+	}
 	for _, nc := range nbrs {
 		if nc == own {
 			continue
 		}
-		other := coeffsInto(scratch, nc-1, s.Q, s.T)
-		for a := 0; a < s.Q; a++ {
-			if evalPoly(mine, a, s.Q) == evalPoly(other, a, s.Q) {
+		coeffsInto(other, nc-1, s.Q, s.T)
+		for a, m := range mineAt {
+			if m == evalPoly(other, a, s.Q) {
 				conflicts[a]++
 			}
 		}
@@ -112,10 +145,10 @@ func (s Step) Apply(own int, nbrs []int) int {
 	if bestC > s.Budget {
 		// The pigeonhole guarantee (≤ ⌊T·Λ/Q⌋ ≤ Budget) was violated, which
 		// means the caller fed more neighbors than the degree bound assumed.
-		panic(fmt.Sprintf("linial: %d conflicts at best point exceed budget %d (q=%d t=%d)",
-			bestC, s.Budget, s.Q, s.T))
+		return 0, fmt.Errorf("linial: %d conflicts at best point exceed budget %d (q=%d t=%d)",
+			bestC, s.Budget, s.Q, s.T)
 	}
-	return bestA*s.Q + evalPoly(mine, bestA, s.Q) + 1
+	return bestA*s.Q + mineAt[bestA] + 1, nil
 }
 
 // Exchange abstracts one broadcast round: send own color, receive the colors
@@ -131,6 +164,32 @@ func RunChain(steps []Step, initial int, exch Exchange) int {
 		color = s.Apply(color, nbrs)
 	}
 	return color
+}
+
+// RunChainFlat is RunChain run at every vertex of a flat network in one
+// pass, for the flat (dist.CompiledAlgo) forms: colors[v] is vertex v's
+// color, updated in place. Each step is one pm.Exchange of the colors,
+// priced through t, then an ApplyScratch per vertex against the colors
+// gathered from its in-ports. A failing Apply ends the pass with the error
+// the scheduler reports for the first vertex, in index order, whose
+// per-vertex form panics there.
+func RunChainFlat(pm *dist.PortMask, steps []Step, colors []int, t *dist.Tally, sc *Scratch) error {
+	for _, s := range steps {
+		if err := pm.Exchange(t, colors); err != nil {
+			return err
+		}
+		next := ints(&sc.next, len(colors))
+		for v, own := range colors {
+			sc.nbrs = pm.Gather(sc.nbrs[:0], v, colors)
+			c, err := s.ApplyScratch(own, sc.nbrs, sc)
+			if err != nil {
+				return dist.VertexPanicError(pm.G.ID(v), err)
+			}
+			next[v] = c
+		}
+		copy(colors, next)
+	}
+	return nil
 }
 
 // FinalPalette returns the palette after running all steps starting from k0.

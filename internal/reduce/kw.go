@@ -45,6 +45,7 @@ func KWReduceColors(v dist.Process, myColor, k, target int, active []bool) int {
 	out := make([][]byte, deg)
 	nbr := make([]int, deg)
 	var msg []byte
+	var used []bool // kwFree scratch
 	sent := 0
 	blocks := (k + target - 1) / target
 	for blocks > 1 {
@@ -75,7 +76,14 @@ func KWReduceColors(v dist.Process, myColor, k, target int, active []bool) int {
 				nbr[p] = val
 			}
 			if upper && myPos == j {
-				myColor = kwFree(nbr, active, pairLow, target)
+				if used == nil {
+					used = make([]bool, target)
+				}
+				free, ok := kwFree(nbr, active, pairLow, target, used)
+				if !ok {
+					panic(errNoFree)
+				}
+				myColor = free
 			}
 		}
 		// Renumber into the halved block space: new block = old block / 2.
@@ -87,11 +95,58 @@ func KWReduceColors(v dist.Process, myColor, k, target int, active []bool) int {
 	return myColor
 }
 
-// kwFree returns the smallest color in the pair's lower block not used by
-// an active neighbor.
-func kwFree(nbr []int, active []bool, pairLow, target int) int {
-	lo := pairLow*target + 1 // first color of the lower block (1-based)
+// KWReduceFlat is KWReduceColors run at every vertex of a flat network in
+// one pass, for the flat (dist.CompiledAlgo) forms: colors[v] is vertex v's
+// color, reduced in place, and pm's in-ports are the active ports. It
+// accounts through t the KWRounds(k, target) rounds, each with every vertex
+// arriving and every active port carrying its vertex's current color — the
+// per-vertex form keeps its outbox across rounds. A vertex that finds no
+// free color ends the pass with the error its per-vertex form's panic
+// produces.
+//
+// Colors change in place within a round: the vertices recoloring in one
+// round sit at one position of the upper blocks, so in a legal coloring no
+// two are adjacent in one pair, and each reads only its own pair's lower
+// block, which no other recoloring in the round touches.
+func KWReduceFlat(pm *dist.PortMask, colors []int, k, target int, t *dist.Tally) error {
+	if target < 1 || k <= target {
+		return nil
+	}
 	used := make([]bool, target)
+	nbrs := make([]int, 0, pm.G.MaxDegree())
+	for blocks := (k + target - 1) / target; blocks > 1; blocks = (blocks + 1) / 2 {
+		for j := 0; j < target; j++ {
+			if err := pm.Exchange(t, colors); err != nil {
+				return err
+			}
+			for v, c := range colors {
+				if block := (c - 1) / target; block%2 == 1 && (c-1)%target == j {
+					nbrs = pm.Gather(nbrs[:0], v, colors)
+					free, ok := kwFree(nbrs, nil, (block/2)*2, target, used)
+					if !ok {
+						return dist.VertexPanicError(pm.G.ID(v), errNoFree)
+					}
+					colors[v] = free
+				}
+			}
+		}
+		for v, c := range colors {
+			b, pos := (c-1)/target, (c-1)%target
+			colors[v] = (b/2)*target + pos + 1
+		}
+	}
+	return nil
+}
+
+const errNoFree = "reduce: no free color in block; degree bound violated"
+
+// kwFree returns the smallest color in the pair's lower block used by no
+// active neighbor, and false if there is none: nbr holds the neighbors'
+// colors per port, active masks the ports (nil = all), and used is scratch
+// of length target.
+func kwFree(nbr []int, active []bool, pairLow, target int, used []bool) (int, bool) {
+	lo := pairLow*target + 1 // first color of the lower block (1-based)
+	clear(used)
 	for p, c := range nbr {
 		if active != nil && !active[p] {
 			continue
@@ -100,10 +155,10 @@ func kwFree(nbr []int, active []bool, pairLow, target int) int {
 			used[c-lo] = true
 		}
 	}
-	for i := 0; i < target; i++ {
-		if !used[i] {
-			return lo + i
+	for i, u := range used {
+		if !u {
+			return lo + i, true
 		}
 	}
-	panic("reduce: no free color in block; degree bound violated")
+	return 0, false
 }
