@@ -11,7 +11,7 @@
 // sharded coroutine scheduler runs under three interchangeable engine
 // names — Goroutines, Lockstep (one shard), and Sharded — and a
 // reusable Runner that amortizes the runtime state across repeated runs;
-// CSR graphs with build-time reverse ports; Linial's cover-free color
+// CSR graphs with build-time reverse slots; Linial's cover-free color
 // reduction, Kuhn's defective colorings, Cole–Vishkin forest 3-coloring,
 // Panconesi–Rizzi edge coloring) and the baselines the paper compares
 // against.

@@ -143,7 +143,8 @@ func TestServableBuild(t *testing.T) {
 // miss never enters the scheduler. It checks the small-mix graphs, two
 // graphs on which vertex/be's default plan recurses (powercycle(200,10),
 // Δ=20, depth 1; powercycle(200,27), Δ=54, depth 2), and an edgeless graph
-// (vertex/be's Δ=0 branch); every flat pass must match Lockstep.
+// (the Δ=0 branches of vertex/be and edge/be); every flat pass must match
+// Lockstep.
 func TestServedBundlesHaveFlatPass(t *testing.T) {
 	const exception = "edge/fewcolors" // flat fewcolors is not written yet
 	var graphs []*graph.Graph
@@ -159,7 +160,7 @@ func TestServedBundlesHaveFlatPass(t *testing.T) {
 		}
 		graphs = append(graphs, g)
 	}
-	edgeless := graph.NewBuilder(5).Build()
+	graphs = append(graphs, graph.NewBuilder(5).Build())
 	for _, a := range algreg.Servable() {
 		name := a.Kind + "/" + a.Name
 		p := algreg.Params{B: 2, C: 2, Mode: "wide"}
@@ -169,11 +170,7 @@ func TestServedBundlesHaveFlatPass(t *testing.T) {
 		if err := a.Canon(&p); err != nil {
 			t.Fatal(err)
 		}
-		gs := graphs
-		if a.Kind == "vertex" {
-			gs = append(gs[:len(gs):len(gs)], edgeless)
-		}
-		for _, g := range gs {
+		for _, g := range graphs {
 			var flat bool
 			var err error
 			if a.Kind == "edge" {

@@ -43,8 +43,8 @@ func init() {
 		},
 		BuildEdge: func(g *graph.Graph, p Params) (dist.Algo[[]int], int, error) {
 			algo, pl, err := legalEdgeAlgo(g, p)
-			if err != nil {
-				return dist.Algo[[]int]{}, 0, err
+			if err != nil || pl == nil {
+				return algo, 0, err
 			}
 			return algo, pl.TotalPalette(), nil
 		},
@@ -53,8 +53,12 @@ func init() {
 			if err != nil {
 				return nil, nil, err
 			}
+			var notes []string
+			if pl != nil {
+				notes = []string{fmt.Sprintf("plan:  %v", pl)}
+			}
 			res, err := dist.RunAlgo(g, algo, opts...)
-			return res, []string{fmt.Sprintf("plan:  %v", pl)}, err
+			return res, notes, err
 		},
 	})
 
@@ -229,8 +233,13 @@ func init() {
 }
 
 // legalEdgeAlgo builds the §5 edge Legal-Color bundle for g under the plan
-// AutoPlan picks; at depth 0 it carries the Panconesi–Rizzi flat pass.
+// AutoPlan picks; at depth 0 it carries the Panconesi–Rizzi flat pass. An
+// edgeless graph has no plan (AutoPlan needs Δ >= 1): its bundle is the
+// empty coloring, returned with a nil plan.
 func legalEdgeAlgo(g *graph.Graph, p Params) (dist.Algo[[]int], *core.Plan, error) {
+	if g.MaxDegree() == 0 {
+		return dist.Algo[[]int]{Vertex: func(dist.Process) []int { return nil }, Compiled: noEdges{}}, nil, nil
+	}
 	pl, err := core.AutoPlan(g.MaxDegree(), 2, p.B, p.P, true)
 	if err != nil {
 		return dist.Algo[[]int]{}, nil, err
@@ -247,6 +256,14 @@ func (oneColor) RunCompiled(_ *graph.Graph, _ dist.CompiledEnv, out []int) (dist
 	for v := range out {
 		out[v] = 1
 	}
+	return dist.Stats{}, nil
+}
+
+// noEdges is the flat pass of an edgeless graph's edge coloring: every
+// vertex has no ports to color and no vertex calls Round.
+type noEdges struct{}
+
+func (noEdges) RunCompiled(_ *graph.Graph, _ dist.CompiledEnv, _ [][]int) (dist.Stats, error) {
 	return dist.Stats{}, nil
 }
 

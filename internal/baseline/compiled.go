@@ -15,9 +15,10 @@ import (
 // byte-identical to the per-vertex forms under every engine. These are the
 // service's hot paths — the greedy oracle runs once per cached graph and
 // once per legality check — so they are worth hand-flattening. The other
-// flat passes are Panconesi–Rizzi (panconesi.EdgeColorAlgo) and the
-// dynamic repair; the remaining pipelines carry none and run under the
-// Compiled engine as one-shot Lockstep runs.
+// flat passes are Panconesi–Rizzi (panconesi.EdgeColorAlgo), Procedure
+// Legal-Color (core.LegalColorAlgo) and the dynamic repair; the remaining
+// pipelines carry none and run under the Compiled engine as one-shot
+// Lockstep runs.
 
 // GreedyVertexAlgo bundles GreedyVertexProcess with its compiled form.
 func GreedyVertexAlgo() dist.Algo[int] {
@@ -122,23 +123,17 @@ const unsetRound = int32(math.MaxInt32)
 
 func (greedyEdgeCompiled) RunCompiled(g *graph.Graph, env dist.CompiledEnv, out [][]int) (dist.Stats, error) {
 	n := g.N()
-	off := make([]int, n+1)
-	for v := 0; v < n; v++ {
-		off[v+1] = off[v] + g.Deg(v)
-	}
-	m2 := off[n] // directed edge slots: slot = off[v] + port
-	colors := make([]int32, m2)
+	off, rev := g.Slots() // directed edge slots: slot = off[v] + port
+	m2 := int(off[n])
+	colors := make([]int, m2)
 	pending := make([]int32, m2)
 	keyLo := make([]int32, m2)
 	keyHi := make([]int32, m2)
 	ownerOf := make([]bool, m2)
-	rev := make([]int32, m2) // slot at the far end of the same edge
 	for v := 0; v < n; v++ {
 		id := g.ID(v)
-		nbrs := g.Neighbors(v)
-		rp := g.ReversePorts(v)
-		for p, u := range nbrs {
-			slot := off[v] + p
+		for p, u := range g.Neighbors(v) {
+			slot := int(off[v]) + p
 			nid := g.ID(int(u))
 			lo, hi := id, nid
 			if lo > hi {
@@ -146,7 +141,6 @@ func (greedyEdgeCompiled) RunCompiled(g *graph.Graph, env dist.CompiledEnv, out 
 			}
 			keyLo[slot], keyHi[slot] = int32(lo), int32(hi)
 			ownerOf[slot] = id < nid
-			rev[slot] = int32(off[u] + int(rp[p]))
 		}
 	}
 	palette := 2*g.MaxDegree() + 2 // greedy edge needs at most 2Δ-1
@@ -176,9 +170,9 @@ func (greedyEdgeCompiled) RunCompiled(g *graph.Graph, env dist.CompiledEnv, out 
 	// sideReady reports whether every edge at v with a smaller key than port
 	// p's edge is colored (in v's current view).
 	sideReady := func(v, p int) bool {
-		base := off[v]
+		base := int(off[v])
 		slot := base + p
-		for q, deg := 0, off[v+1]-base; q < deg; q++ {
+		for q, deg := 0, g.Deg(v); q < deg; q++ {
 			qs := base + q
 			if q != p && colors[qs] == 0 &&
 				(keyLo[qs] < keyLo[slot] || (keyLo[qs] == keyLo[slot] && keyHi[qs] < keyHi[slot])) {
@@ -202,8 +196,8 @@ func (greedyEdgeCompiled) RunCompiled(g *graph.Graph, env dist.CompiledEnv, out 
 		// per-vertex form clears it while composing the announcement).
 		for _, vv := range active {
 			v := int(vv)
-			base := off[v]
-			for p, deg := 0, off[v+1]-base; p < deg; p++ {
+			base := int(off[v])
+			for p, deg := 0, g.Deg(v); p < deg; p++ {
 				slot := base + p
 				switch {
 				case pending[slot] != 0:
@@ -226,8 +220,8 @@ func (greedyEdgeCompiled) RunCompiled(g *graph.Graph, env dist.CompiledEnv, out 
 		// from the staged snapshots.
 		for _, vv := range active {
 			v := int(vv)
-			base := off[v]
-			for p, deg := 0, off[v+1]-base; p < deg; p++ {
+			base := int(off[v])
+			for p, deg := 0, g.Deg(v); p < deg; p++ {
 				slot := base + p
 				if colors[slot] != 0 {
 					continue
@@ -246,14 +240,14 @@ func (greedyEdgeCompiled) RunCompiled(g *graph.Graph, env dist.CompiledEnv, out 
 					for usedAt[vb+c] != unsetRound || usedAt[ub+c] < round {
 						c++
 					}
-					colors[slot] = int32(c)
+					colors[slot] = c
 					markUsed(v, c, round)
 					pending[slot] = int32(c)
 					pendCount[v]++
 					remaining[v]--
 				} else if sKind[uslot] == stagedAnnounce {
 					c := int(sVal[uslot])
-					colors[slot] = int32(c)
+					colors[slot] = c
 					markUsed(v, c, round)
 					remaining[v]--
 				}
@@ -267,13 +261,6 @@ func (greedyEdgeCompiled) RunCompiled(g *graph.Graph, env dist.CompiledEnv, out 
 		}
 		active = next
 	}
-	for v := 0; v < n; v++ {
-		deg := off[v+1] - off[v]
-		cs := make([]int, deg)
-		for p := 0; p < deg; p++ {
-			cs[p] = int(colors[off[v]+p])
-		}
-		out[v] = cs
-	}
+	graph.SlotPortColors(g, colors, out)
 	return t.Stats, nil
 }

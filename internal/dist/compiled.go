@@ -113,10 +113,11 @@ func VertexPanicError(id int, v any) error {
 
 // PortMask is a flat pass's port table with a per-port mask, the flat
 // counterpart of the per-port []bool a per-vertex form keeps to restrict
-// itself to a subgraph. Port p of vertex v is slot Off[v]+p of every
-// per-slot array, In[s] says whether slot s is inside the subgraph, and
-// Deg[v] counts v's slots that are. Callers narrowing In keep Deg in step
-// and keep the mask symmetric: a port is in exactly when its reverse is.
+// itself to a subgraph. Off is the graph's own offset table (graph.Slots):
+// port p of vertex v is slot Off[v]+p of every per-slot array, In[s] says
+// whether slot s is inside the subgraph, and Deg[v] counts v's slots that
+// are. Callers narrowing In keep Deg in step and keep the mask symmetric: a
+// port is in exactly when its reverse is.
 type PortMask struct {
 	G   *graph.Graph
 	Off []int32
@@ -126,13 +127,8 @@ type PortMask struct {
 
 // NewPortMask returns the mask of g with every port in.
 func NewPortMask(g *graph.Graph) *PortMask {
-	n := g.N()
-	pm := &PortMask{G: g, Off: make([]int32, n+1), Deg: make([]int, n)}
-	for v := 0; v < n; v++ {
-		pm.Deg[v] = g.Deg(v)
-		pm.Off[v+1] = pm.Off[v] + int32(pm.Deg[v])
-	}
-	pm.In = make([]bool, pm.Off[n])
+	off, rev := g.Slots()
+	pm := &PortMask{G: g, Off: off, In: make([]bool, len(rev)), Deg: g.Degrees()}
 	for s := range pm.In {
 		pm.In[s] = true
 	}

@@ -385,3 +385,20 @@ func TestCompiledMessageRules(t *testing.T) {
 		}
 	}
 }
+
+// TestPortMaskOnGraphSlots: a fresh PortMask reads the graph's own slot
+// offsets (no per-run copy), with every slot in and Deg the graph's degrees.
+func TestPortMaskOnGraphSlots(t *testing.T) {
+	g := graph.GNM(30, 70, 2)
+	off, rev := g.Slots()
+	pm := NewPortMask(g)
+	if &pm.Off[0] != &off[0] || len(pm.Off) != len(off) {
+		t.Fatal("PortMask.Off is not the graph's offset table")
+	}
+	if len(pm.In) != len(rev) || slices.Contains(pm.In, false) {
+		t.Fatalf("PortMask.In has %d slots (want %d), all in", len(pm.In), len(rev))
+	}
+	if !slices.Equal(pm.Deg, g.Degrees()) {
+		t.Fatalf("PortMask.Deg = %v, want %v", pm.Deg, g.Degrees())
+	}
+}

@@ -38,9 +38,9 @@ func runOnce[T any](g *graph.Graph, algo func(Process) T, cfg config) (*Result[T
 // runtime state — proc structs, the vertex coroutines themselves, the shard
 // partition and its delivery queues, round inbox buffers, and Broadcast
 // scratch outboxes — so that a steady-state run costs O(work), not
-// O(bookkeeping). The reverse-port tables live in the graph itself
-// (graph.ReversePorts, precomputed at build time), so a Runner adds no
-// per-run preprocessing at all: between runs every vertex coroutine stays
+// O(bookkeeping). The reverse-slot table lives in the graph itself
+// (graph.Slots, computed at build time), so a Runner adds no per-run
+// preprocessing at all: between runs every vertex coroutine stays
 // parked idle, and a new run merely resets statuses and resumes them again.
 //
 // Reuse contract: a Runner is NOT safe for concurrent use — runs must be
@@ -473,6 +473,7 @@ func (s *sched[T]) deliver(arrived []*proc[T]) {
 		s.procs[sr.idx].inbox[sr.port] = nil
 	}
 	wl = wl[:0]
+	off, rev := s.g.Slots()
 	for _, p := range arrived {
 		out := s.outbox[p.idx]
 		if out == nil {
@@ -480,7 +481,7 @@ func (s *sched[T]) deliver(arrived []*proc[T]) {
 		}
 		s.outbox[p.idx] = nil
 		nbrs := s.g.Neighbors(p.idx)
-		rp := s.g.ReversePorts(p.idx)
+		rs := rev[off[p.idx]:off[p.idx+1]]
 		for port, msg := range out {
 			if msg == nil {
 				continue
@@ -497,8 +498,9 @@ func (s *sched[T]) deliver(arrived []*proc[T]) {
 			if q.inbox == nil {
 				q.inbox = make([][]byte, s.g.Deg(int(u)))
 			}
-			q.inbox[rp[port]] = msg
-			wl = append(wl, slotRef{idx: u, port: rp[port]})
+			up := rs[port] - off[u] // the port p.idx occupies at u
+			q.inbox[up] = msg
+			wl = append(wl, slotRef{idx: u, port: up})
 		}
 	}
 	s.written[0] = wl

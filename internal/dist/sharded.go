@@ -112,7 +112,8 @@ func (p *proc[T]) stage(out [][]byte) {
 		st := &p.shard.stats
 		src := s.queues[p.shard.index]
 		nbrs := s.g.Neighbors(p.idx)
-		rp := s.g.ReversePorts(p.idx)
+		off, rev := s.g.Slots()
+		rs := rev[off[p.idx]:off[p.idx+1]]
 		for port, msg := range out {
 			if msg == nil {
 				continue
@@ -123,7 +124,7 @@ func (p *proc[T]) stage(out [][]byte) {
 			}
 			u := nbrs[port]
 			j := s.shardOf[u]
-			src[j] = append(src[j], qentry{dst: u, port: rp[port], msg: msg})
+			src[j] = append(src[j], qentry{dst: u, port: rs[port] - off[u], msg: msg})
 		}
 	}
 	p.s.status[p.idx] = statusYielded

@@ -46,21 +46,14 @@ type repairCompiled struct {
 
 func (rc *repairCompiled) RunCompiled(g *graph.Graph, env dist.CompiledEnv, out [][]int) (dist.Stats, error) {
 	n := g.N()
-	off := make([]int, n+1)
-	for v := 0; v < n; v++ {
-		off[v+1] = off[v] + g.Deg(v)
-	}
-	m2 := off[n]
-	col := make([]int32, m2)  // live colors, indexed off[v]+port
+	off, rev := g.Slots()
+	m2 := int(off[n])
+	col := make([]int, m2)    // live colors, indexed off[v]+port
 	sent := make([]int32, m2) // colors as of each vertex's last broadcast
-	rev := make([]int32, m2)  // slot at the far end of the same edge
 	nbrLen := make([]int, n)  // constant part of each vertex's message size
 	for v := 0; v < n; v++ {
-		nbrs := g.Neighbors(v)
-		rp := g.ReversePorts(v)
 		sum := 0
-		for p, u := range nbrs {
-			rev[off[v]+p] = int32(off[u] + int(rp[p]))
+		for _, u := range g.Neighbors(v) {
 			sum += wire.IntLen(int(u))
 		}
 		nbrLen[v] = sum
@@ -84,13 +77,13 @@ func (rc *repairCompiled) RunCompiled(g *graph.Graph, env dist.CompiledEnv, out 
 		// participant re-broadcasts its unchanged last message).
 		for _, vv := range active {
 			v := int(vv)
-			base := off[v]
-			deg := off[v+1] - base
+			base := int(off[v])
+			deg := g.Deg(v)
 			if dirty[v] {
 				ln := nbrLen[v]
 				for s := base; s < base+deg; s++ {
-					sent[s] = col[s]
-					ln += wire.IntLen(int(col[s]))
+					sent[s] = int32(col[s])
+					ln += wire.IntLen(col[s])
 				}
 				msgLen[v] = ln
 			}
@@ -100,8 +93,8 @@ func (rc *repairCompiled) RunCompiled(g *graph.Graph, env dist.CompiledEnv, out 
 		for _, vv := range active {
 			v := int(vv)
 			dirty[v] = false
-			base := off[v]
-			deg := off[v+1] - base
+			base := int(off[v])
+			deg := g.Deg(v)
 			nbrs := g.Neighbors(v)
 			// Learn decisions of edges owned by the far endpoint: by sorted
 			// adjacency, the ports to neighbors below v.
@@ -111,7 +104,7 @@ func (rc *repairCompiled) RunCompiled(g *graph.Graph, env dist.CompiledEnv, out 
 					continue
 				}
 				if c := sent[rev[slot]]; c != 0 {
-					col[slot] = c
+					col[slot] = int(c)
 					dirty[v] = true
 				}
 			}
@@ -126,7 +119,7 @@ func (rc *repairCompiled) RunCompiled(g *graph.Graph, env dist.CompiledEnv, out 
 				if u < v {
 					break // owned by u: learned, never decided here
 				}
-				ub := off[u]
+				ub := int(off[u])
 				at := int(rev[slot]) // v's slot at u
 				for ub+snap[u] < at && sent[ub+snap[u]] != 0 {
 					snap[u]++
@@ -139,30 +132,23 @@ func (rc *repairCompiled) RunCompiled(g *graph.Graph, env dist.CompiledEnv, out 
 					used.add(c)
 				}
 				for s := base; s < slot; s++ {
-					used.add(int(col[s]))
+					used.add(col[s])
 				}
 				for s := ub; s < at; s++ {
 					used.add(int(sent[s]))
 				}
-				col[slot] = int32(used.mex())
+				col[slot] = used.mex()
 				dirty[v] = true
 			}
 		}
 		next := active[:0]
 		for _, vv := range active {
-			if v := int(vv); live[v] < off[v+1]-off[v] || dirty[v] {
+			if v := int(vv); live[v] < g.Deg(v) || dirty[v] {
 				next = append(next, vv)
 			}
 		}
 		active = next
 	}
-	for v := 0; v < n; v++ {
-		deg := off[v+1] - off[v]
-		cs := make([]int, deg)
-		for p := 0; p < deg; p++ {
-			cs[p] = int(col[off[v]+p])
-		}
-		out[v] = cs
-	}
+	graph.SlotPortColors(g, col, out)
 	return t.Stats, nil
 }

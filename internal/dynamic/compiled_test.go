@@ -4,9 +4,11 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/baseline"
 	"repro/internal/dist"
 	"repro/internal/exp"
 	"repro/internal/graph"
+	"repro/internal/panconesi"
 )
 
 // TestRepairCompiledByteEquality: the compiled repair form produces the same
@@ -86,5 +88,60 @@ func TestMaintainerStatsEngineIndependent(t *testing.T) {
 	}
 	if stats[0] != stats[1] {
 		t.Fatalf("maintainer stats depend on engine:\nlockstep: %+v\ncompiled: %+v", stats[0], stats[1])
+	}
+}
+
+// edgeFlatPasses are the edge flat passes that index their per-slot arrays
+// by the graph's slot layout: greedy edge coloring, Panconesi–Rizzi and the
+// repair (with no boundary constraints).
+func edgeFlatPasses(g *graph.Graph) map[string]dist.Algo[[]int] {
+	return map[string]dist.Algo[[]int]{
+		"greedy": baseline.GreedyEdgeAlgo(),
+		"pr":     panconesi.EdgeColorAlgo(g.MaxDegree()),
+		"repair": repairBundle(g, make([][]int, g.M())),
+	}
+}
+
+// TestEdgeFlatAllocs pins the allocations of the greedy-edge and repair flat
+// passes to one budget that holds on a 64-vertex and a 2048-vertex tree: a
+// run allocates a fixed number of whole-graph arrays and nothing per vertex
+// (the port colors are views of one slot-indexed array).
+func TestEdgeFlatAllocs(t *testing.T) {
+	const flatAllocBudget = 25
+	for _, n := range []int{64, 2048} {
+		g := graph.RandomTree(n, 1)
+		passes := edgeFlatPasses(g)
+		for _, name := range []string{"greedy", "repair"} {
+			algo := passes[name]
+			allocs := testing.AllocsPerRun(10, func() {
+				if _, err := dist.RunAlgo(g, algo, dist.WithEngine(dist.Compiled)); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > flatAllocBudget {
+				t.Fatalf("%s on tree(%d): %.0f allocs/run, budget %d", name, n, allocs, flatAllocBudget)
+			}
+			t.Logf("%s on tree(%d): %.0f allocs/run (budget %d)", name, n, allocs, flatAllocBudget)
+		}
+	}
+}
+
+// TestEdgeFlatOutputsCapped: every edge flat pass hands back its port
+// colors as views of one array, each capped at its own length, so appending
+// to one vertex's Outputs never writes into the next vertex's.
+func TestEdgeFlatOutputsCapped(t *testing.T) {
+	g := graph.GNM(40, 120, 3)
+	for name, algo := range edgeFlatPasses(g) {
+		res, err := dist.RunAlgo(g, algo, dist.WithEngine(dist.Compiled))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for v := 0; v+1 < g.N(); v++ {
+			next := append([]int(nil), res.Outputs[v+1]...)
+			_ = append(res.Outputs[v], -1)
+			if !reflect.DeepEqual(res.Outputs[v+1], next) {
+				t.Fatalf("%s: appending to Outputs[%d] changed Outputs[%d]: %v -> %v", name, v, v+1, next, res.Outputs[v+1])
+			}
+		}
 	}
 }

@@ -155,6 +155,18 @@ func MergePortColors(g *Graph, ports [][]int) ([]int, error) {
 	return colors, nil
 }
 
+// SlotPortColors is MergePortColors' counterpart for a flat pass that keeps
+// one color per CSR slot (see Slots): it sets ports[v] to v's slots of
+// colors, as a view capped at its own length, so every vertex's port colors
+// share the one array and appending to one vertex's never writes into the
+// next's.
+func SlotPortColors(g *Graph, colors []int, ports [][]int) {
+	for v := range ports {
+		lo, hi := g.off[v], g.off[v+1]
+		ports[v] = colors[lo:hi:hi]
+	}
+}
+
 // CountColors returns the number of distinct colors used.
 func CountColors(colors []int) int {
 	seen := make(map[int]struct{}, len(colors))

@@ -19,7 +19,7 @@ func (f Fingerprint) String() string { return hex.EncodeToString(f[:]) }
 
 // Fingerprint hashes the graph's canonical form: the vertex count, the CSR
 // offset and neighbor arrays, and the identifier assignment. The edge-id and
-// reverse-port arrays are deterministic functions of the edge set (Builder
+// reverse-slot arrays are deterministic functions of the edge set (Builder
 // derives them in one canonical pass), so hashing the adjacency alone pins
 // them too. The hash is domain-separated and length-prefixed per section, so
 // distinct graphs cannot collide by boundary shifting.

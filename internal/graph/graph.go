@@ -29,11 +29,13 @@ type Edge struct {
 //
 // Adjacency is stored in CSR (compressed sparse row) form: one flat
 // neighbor array sliced per vertex by an offset table, with parallel flat
-// arrays for incident edge ids and reverse ports. The flat layout keeps the
-// whole adjacency in three contiguous allocations (cache-friendly for the
-// simulator's per-round delivery sweeps) and lets reverse ports — the port a
-// vertex occupies in each neighbor's list — be precomputed once at build
-// time instead of rediscovered by every run.
+// arrays for incident edge ids and reverse slots. Port p of vertex v is slot
+// off[v]+p of every per-slot array, and the reverse slot of slot s is the
+// slot of the same edge at its far endpoint. The flat layout keeps the whole
+// adjacency in three contiguous allocations (cache-friendly for the
+// simulator's per-round delivery sweeps and for the flat passes' per-slot
+// arrays) and lets reverse slots be computed once at build time instead of
+// rediscovered by every run; Slots exposes the layout.
 //
 // The zero value is the empty graph with no vertices. Use Builder to
 // construct non-trivial graphs.
@@ -42,7 +44,7 @@ type Graph struct {
 	off    []int32 // len n+1; vertex v owns slots off[v]..off[v+1]
 	nbrs   []int32 // flat neighbor indices, increasing within each vertex
 	eids   []int32 // eids[s] is the edge id of the slot-s adjacency entry
-	rev    []int32 // rev[off[v]+i] is the port v occupies at its i-th neighbor
+	rev    []int32 // rev[s] is the slot of slot s's edge at its far endpoint
 	maxDeg int     // cached Δ(G)
 	edges  []Edge  // edges[id] with U < V
 	ids    []int   // distinct vertex identifiers, ids[v] in {1..n}
@@ -128,7 +130,7 @@ func (b *Builder) Build() *Graph {
 	g.nbrs = make([]int32, slots)
 	g.eids = make([]int32, slots)
 	g.rev = make([]int32, slots)
-	// Fill both endpoints of each edge in one pass, recording reverse ports
+	// Fill both endpoints of each edge in one pass, recording reverse slots
 	// as the two slots are paired. Adjacency comes out sorted by neighbor
 	// index: for a vertex w, the smaller neighbors arrive from edges (x,w)
 	// and the larger from edges (w,y); lexicographic edge order emits every
@@ -144,8 +146,8 @@ func (b *Builder) Build() *Graph {
 		g.nbrs[sv] = int32(e.U)
 		g.eids[su] = int32(id)
 		g.eids[sv] = int32(id)
-		g.rev[su] = sv - g.off[e.V]
-		g.rev[sv] = su - g.off[e.U]
+		g.rev[su] = sv
+		g.rev[sv] = su
 	}
 	for v := range g.ids {
 		g.ids[v] = v + 1
@@ -180,12 +182,14 @@ func (g *Graph) Neighbors(v int) []int32 { return g.nbrs[g.off[v]:g.off[v+1]] }
 // edges from v to each neighbor. The returned slice must not be modified.
 func (g *Graph) IncidentEdgeIDs(v int) []int32 { return g.eids[g.off[v]:g.off[v+1]] }
 
-// ReversePorts returns, parallel to Neighbors(v), the port that v occupies
-// in each neighbor's own adjacency list: for u = Neighbors(v)[i],
-// Neighbors(u)[ReversePorts(v)[i]] == v. Precomputed at build time so
-// message delivery translates ports in O(1) without per-edge searches.
-// The returned slice must not be modified.
-func (g *Graph) ReversePorts(v int) []int32 { return g.rev[g.off[v]:g.off[v+1]] }
+// Slots returns the CSR slot layout shared by every per-slot array: port p
+// of vertex v is slot off[v]+p (len(off) == N()+1 on a built graph), and
+// rev[s] is the slot of the same edge at the far endpoint, so
+// rev[rev[s]] == s and the far endpoint u = Neighbors(v)[p] occupies port
+// rev[s]-off[u] in its own list. Computed at build time, so message
+// delivery and the flat passes translate ports in O(1) without per-edge
+// searches or per-run tables. The returned slices must not be modified.
+func (g *Graph) Slots() (off, rev []int32) { return g.off, g.rev }
 
 // Edges returns the canonical edge list; edges[id] has U < V.
 // The returned slice must not be modified.

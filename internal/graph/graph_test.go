@@ -321,9 +321,10 @@ func TestShuffledIDs(t *testing.T) {
 }
 
 // TestCSRInvariants pins the CSR layout Build promises: adjacency sorted
-// without a post-sort, degrees consistent with offsets, edge ids matching
-// the canonical edge list, and reverse ports exactly inverting the port
-// numbering. The dist runtime's O(1) delivery translation depends on these.
+// without a post-sort, offsets the prefix sums of the degrees, edge ids
+// matching the canonical edge list, and reverse slots pairing the two slots
+// of every edge. The dist runtime's O(1) delivery translation and every flat
+// pass's per-slot arrays depend on these.
 func TestCSRInvariants(t *testing.T) {
 	graphs := map[string]*Graph{
 		"empty":     NewBuilder(0).Build(),
@@ -336,15 +337,21 @@ func TestCSRInvariants(t *testing.T) {
 		"clone":     GNM(60, 200, 5).Clone(),
 	}
 	for name, g := range graphs {
+		off, rev := g.Slots()
+		if len(off) != g.N()+1 || off[0] != 0 || len(rev) != int(off[g.N()]) {
+			t.Fatalf("%s: slot table lengths wrong: %d offsets, %d reverse slots", name, len(off), len(rev))
+		}
 		degSum := 0
 		for v := 0; v < g.N(); v++ {
 			nbrs := g.Neighbors(v)
 			eids := g.IncidentEdgeIDs(v)
-			rev := g.ReversePorts(v)
-			if len(nbrs) != g.Deg(v) || len(eids) != g.Deg(v) || len(rev) != g.Deg(v) {
+			if len(nbrs) != g.Deg(v) || len(eids) != g.Deg(v) || int(off[v+1]-off[v]) != g.Deg(v) {
 				t.Fatalf("%s: vertex %d slice lengths disagree with Deg", name, v)
 			}
 			degSum += g.Deg(v)
+			if int(off[v+1]) != degSum {
+				t.Fatalf("%s: off[%d] = %d, want the degree prefix sum %d", name, v+1, off[v+1], degSum)
+			}
 			for i, u := range nbrs {
 				if i > 0 && nbrs[i-1] >= u {
 					t.Fatalf("%s: vertex %d adjacency not strictly increasing", name, v)
@@ -353,11 +360,19 @@ func TestCSRInvariants(t *testing.T) {
 				if !(e.U == v && e.V == int(u)) && !(e.V == v && e.U == int(u)) {
 					t.Fatalf("%s: vertex %d port %d edge id %d is %v", name, v, i, eids[i], e)
 				}
-				back := g.Neighbors(int(u))
-				if int(rev[i]) >= len(back) || back[rev[i]] != int32(v) {
-					t.Fatalf("%s: reverse port of %d at neighbor %d wrong", name, v, u)
+				s := off[v] + int32(i)
+				r := rev[s]
+				if r < off[u] || r >= off[u+1] {
+					t.Fatalf("%s: reverse slot of %d at neighbor %d is not one of %d's slots", name, v, u, u)
 				}
-				if g.IncidentEdgeIDs(int(u))[rev[i]] != eids[i] {
+				if rev[r] != s {
+					t.Fatalf("%s: rev[rev[%d]] = %d", name, s, rev[r])
+				}
+				back := g.Neighbors(int(u))
+				if back[r-off[u]] != int32(v) {
+					t.Fatalf("%s: reverse slot of %d at neighbor %d wrong", name, v, u)
+				}
+				if g.IncidentEdgeIDs(int(u))[r-off[u]] != eids[i] {
 					t.Fatalf("%s: edge id disagrees across the two ports of (%d,%d)", name, v, u)
 				}
 			}

@@ -53,18 +53,8 @@ func (fp flatPass) RunCompiled(g *graph.Graph, env dist.CompiledEnv, out [][]int
 	if d := g.MaxDegree(); d > degBound {
 		return dist.Stats{}, fmt.Errorf("panconesi: graph degree %d exceeds degBound %d", d, degBound)
 	}
-	off := make([]int32, n+1) // slot of (v, port) = off[v] + port
-	for v := 0; v < n; v++ {
-		off[v+1] = off[v] + int32(g.Deg(v))
-	}
+	off, rev := g.Slots()
 	m2 := off[n]
-	rev := make([]int32, m2) // slot at the far end of the same edge
-	for v := 0; v < n; v++ {
-		rp := g.ReversePorts(v)
-		for p, u := range g.Neighbors(v) {
-			rev[off[v]+int32(p)] = off[u] + rp[p]
-		}
-	}
 	t := env.NewTally()
 
 	// Labeling round: out-edges (toward smaller identifiers) take labels
@@ -191,9 +181,7 @@ func (fp flatPass) RunCompiled(g *graph.Graph, env dist.CompiledEnv, out [][]int
 			}
 		}
 	}
-	for v := 0; v < n; v++ {
-		out[v] = colors[off[v]:off[v+1]:off[v+1]]
-	}
+	graph.SlotPortColors(g, colors, out)
 	return t.Stats, nil
 }
 
