@@ -37,9 +37,10 @@ cover:
 loc:
 	scripts/loc.sh
 
-# Full benchmark pass: root artifact benchmarks + internal/dist engine and
-# runner benchmarks, exported as BENCH_runtime.json (ns/op, B/op, allocs/op,
-# rounds, msgBytes, ...) so the performance trajectory is tracked per commit.
+# Full benchmark pass: root artifact benchmarks + the internal/dist engine
+# benchmarks and the dynamic, algreg and service rows, exported as
+# BENCH_runtime.json (ns/op, B/op, allocs/op, rounds, msgBytes, ...) so the
+# performance trajectory is tracked per commit.
 bench:
 	scripts/bench.sh
 

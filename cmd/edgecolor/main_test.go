@@ -22,6 +22,7 @@ func TestGolden(t *testing.T) {
 		{"rand_cycle", []string{"-graph", "cycle", "-n", "20", "-seed", "4", "-alg", "rand", "-q"}},
 		{"fig1", []string{"-graph", "fig1", "-deg", "6", "-alg", "be", "-q"}},
 		{"be_edgeless", []string{"-graph", "gnm", "-n", "5", "-m", "0", "-alg", "be"}},
+		{"pr_edgeless", []string{"-graph", "gnm", "-n", "5", "-m", "0", "-alg", "pr"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -35,12 +36,13 @@ func TestGolden(t *testing.T) {
 // yields the exact output of the default engine — the CLI-level face of the
 // runtime's engine-equivalence contract. Under compiled, be (whose plan on
 // this graph has depth 0) and pr run the Panconesi–Rizzi flat pass, and be
-// on the edgeless graph its empty-coloring pass.
+// and pr on the edgeless graph their empty-coloring passes.
 func TestEngineFlagPlumbing(t *testing.T) {
 	for _, base := range [][]string{
 		{"-graph", "gnm", "-n", "48", "-m", "144", "-seed", "1", "-alg", "be", "-q"},
 		{"-graph", "regular", "-n", "24", "-deg", "4", "-seed", "2", "-alg", "pr", "-q"},
 		{"-graph", "gnm", "-n", "5", "-m", "0", "-alg", "be", "-q"},
+		{"-graph", "gnm", "-n", "5", "-m", "0", "-alg", "pr", "-q"},
 	} {
 		ref := testutil.CaptureStdout(t, func() error { return run(base) })
 		for _, engine := range []string{"lockstep", "sharded", "compiled"} {

@@ -9,8 +9,8 @@
 // for general graphs, and the §6 extensions — together with every substrate
 // they depend on (a synchronous message-passing simulator whose one
 // sharded coroutine scheduler runs under three interchangeable engine
-// names — Goroutines, Lockstep (one shard), and Sharded — and a
-// reusable Runner that amortizes the runtime state across repeated runs;
+// names — Goroutines, Lockstep (one shard), and Sharded — plus a Compiled
+// engine for hand-written flat passes, every run one-shot;
 // CSR graphs with build-time reverse slots; Linial's cover-free color
 // reduction, Kuhn's defective colorings, Cole–Vishkin forest 3-coloring,
 // Panconesi–Rizzi edge coloring) and the baselines the paper compares

@@ -50,8 +50,6 @@ type Algorithm struct {
 	// quality knob (QualityFast or QualityFewColors); empty for CLI-only
 	// entries.
 	Quality string
-	// Summary is the one-line description the generated -alg help shows.
-	Summary string
 
 	// Canon canonicalizes the service parameters. Required for servable
 	// entries; it sees the shared defaults (b=2, c=2, mode=wide, c forced
@@ -204,20 +202,4 @@ func HelpList(kind string) string {
 		names = append(names, a.Name)
 	}
 	return strings.Join(names, "|")
-}
-
-// HelpTable renders one line per CLI-runnable entry of the kind, name plus
-// summary, for the CLIs' extended -alg help.
-func HelpTable(kind string) string {
-	var b strings.Builder
-	for _, a := range order {
-		if a.Kind != kind {
-			continue
-		}
-		if (kind == "edge" && a.RunEdge == nil) || (kind == "vertex" && a.RunVertex == nil) {
-			continue
-		}
-		fmt.Fprintf(&b, "  %-10s %s\n", a.Name, a.Summary)
-	}
-	return b.String()
 }

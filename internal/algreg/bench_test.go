@@ -29,13 +29,12 @@ var deepGraphs = map[string]exp.GraphSpec{
 
 // BenchmarkServedAlgos runs every servable algorithm on its small-mix graph
 // (and on its deepGraphs entry, if any) with the service's default
-// parameters, under the Compiled engine the way the service does — one
-// dist.RunAlgo per request — and under Lockstep (the scheduler on a reused
-// Runner). Under Compiled every algorithm but edge/fewcolors runs its flat
-// pass; edge/fewcolors runs a one-shot Lockstep run on a fresh Runner, so
-// its compiled/lockstep pair prices what keeping no vertex state between
-// runs costs per run. scripts/bench.sh records these rows in
-// BENCH_runtime.json.
+// parameters, one dist.RunAlgo per iteration the way the service runs a
+// miss, under the Compiled engine the service uses and under Lockstep (the
+// scheduler on one shard). Under Compiled every algorithm but edge/fewcolors
+// runs its flat pass; edge/fewcolors has none, so Compiled runs it on the
+// scheduler exactly as Lockstep does, and its compiled/lockstep pair is the
+// same run twice. scripts/bench.sh records these rows in BENCH_runtime.json.
 func BenchmarkServedAlgos(b *testing.B) {
 	for _, a := range algreg.Servable() {
 		name := a.Kind + "/" + a.Name
@@ -69,13 +68,13 @@ func benchServed(b *testing.B, a *algreg.Algorithm, name string, spec exp.GraphS
 		if err != nil {
 			b.Fatal(err)
 		}
-		run = servedRun(b, g, algo)
+		run = servedRun(g, algo)
 	} else {
 		algo, _, err := a.BuildVertex(g, p)
 		if err != nil {
 			b.Fatal(err)
 		}
-		run = servedRun(b, g, algo)
+		run = servedRun(g, algo)
 	}
 	for _, e := range []dist.Engine{dist.Compiled, dist.Lockstep} {
 		b.Run(name+"/"+e.String(), func(b *testing.B) {
@@ -91,20 +90,11 @@ func benchServed(b *testing.B, a *algreg.Algorithm, name string, spec exp.GraphS
 	}
 }
 
-// servedRun returns one run of algo on g per call: a Compiled run goes
-// through dist.RunAlgo, as the service's misses do; any other engine runs on
-// one Runner reused across calls.
-func servedRun[T any](b *testing.B, g *graph.Graph, algo dist.Algo[T]) func(dist.Engine) (dist.Stats, error) {
-	r := dist.NewRunner[T](g)
-	b.Cleanup(r.Close)
+// servedRun returns one dist.RunAlgo of algo on g per call, on the given
+// engine.
+func servedRun[T any](g *graph.Graph, algo dist.Algo[T]) func(dist.Engine) (dist.Stats, error) {
 	return func(e dist.Engine) (dist.Stats, error) {
-		var res *dist.Result[T]
-		var err error
-		if e == dist.Compiled {
-			res, err = dist.RunAlgo(g, algo, dist.WithEngine(e))
-		} else {
-			res, err = r.RunAlgo(algo, dist.WithEngine(e))
-		}
+		res, err := dist.RunAlgo(g, algo, dist.WithEngine(e))
 		if err != nil {
 			return dist.Stats{}, err
 		}

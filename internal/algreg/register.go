@@ -29,9 +29,9 @@ func zeroPlan(p *Params) error {
 }
 
 func init() {
+	// The paper's §5 legal edge coloring (plan-driven, O(Δ^ε)-ish rounds).
 	Register(Algorithm{
 		Kind: "edge", Name: "be", Quality: QualityFast,
-		Summary: "the paper's §5 legal edge coloring (plan-driven, O(Δ^ε)-ish rounds)",
 		Canon: func(p *Params) error {
 			if p.P == 0 {
 				p.P = 6
@@ -62,13 +62,13 @@ func init() {
 		},
 	})
 
+	// Panconesi–Rizzi 2Δ-1 edge coloring (O(Δ + log* n) rounds).
 	Register(Algorithm{
 		Kind: "edge", Name: "pr", Quality: QualityFast,
-		Summary: "Panconesi–Rizzi 2Δ-1 edge coloring (O(Δ + log* n) rounds)",
-		Canon:   zeroPlan,
+		Canon: zeroPlan,
 		BuildEdge: func(g *graph.Graph, p Params) (dist.Algo[[]int], int, error) {
 			delta := g.MaxDegree()
-			return panconesi.EdgeColorAlgo(delta), 2*delta - 1, nil
+			return panconesi.EdgeColorAlgo(delta), edgePalette(delta), nil
 		},
 		RunEdge: func(g *graph.Graph, p Params, opts ...dist.Option) (*dist.Result[[]int], []string, error) {
 			res, err := panconesi.EdgeColoring(g, opts...)
@@ -76,12 +76,12 @@ func init() {
 		},
 	})
 
+	// Sequential-order greedy baseline (2Δ-1 colors).
 	Register(Algorithm{
 		Kind: "edge", Name: "greedy", Quality: QualityFast,
-		Summary: "sequential-order greedy baseline (2Δ-1 colors)",
-		Canon:   zeroPlan,
+		Canon: zeroPlan,
 		BuildEdge: func(g *graph.Graph, p Params) (dist.Algo[[]int], int, error) {
-			return baseline.GreedyEdgeAlgo(), 2*g.MaxDegree() - 1, nil
+			return baseline.GreedyEdgeAlgo(), edgePalette(g.MaxDegree()), nil
 		},
 		RunEdge: func(g *graph.Graph, p Params, opts ...dist.Option) (*dist.Result[[]int], []string, error) {
 			res, err := baseline.GreedyEdgeColoring(g, opts...)
@@ -89,10 +89,10 @@ func init() {
 		},
 	})
 
+	// Δ+o(Δ) measured palette: PR base + Kempe vacate/descent sweeps.
 	Register(Algorithm{
 		Kind: "edge", Name: "fewcolors", Quality: QualityFewColors,
-		Summary: "Δ+o(Δ) measured palette: PR base + Kempe vacate/descent sweeps",
-		Canon:   zeroPlan,
+		Canon: zeroPlan,
 		BuildEdge: func(g *graph.Graph, p Params) (dist.Algo[[]int], int, error) {
 			return fewcolors.Algo(), fewcolors.PaletteBound(g), nil
 		},
@@ -102,36 +102,36 @@ func init() {
 		},
 	})
 
+	// Randomized trial baseline (keeps the best of seeded trials).
 	Register(Algorithm{
 		Kind: "edge", Name: "rand",
-		Summary: "randomized trial baseline (keeps the best of seeded trials)",
 		RunEdge: func(g *graph.Graph, p Params, opts ...dist.Option) (*dist.Result[[]int], []string, error) {
 			res, err := baseline.RandomizedTrialEdgeColoring(g, opts...)
 			return res, nil, err
 		},
 	})
 
+	// §6 colors-vs-rounds tradeoff on half-degree classes.
 	Register(Algorithm{
 		Kind: "edge", Name: "tradeoff",
-		Summary: "§6 colors-vs-rounds tradeoff on half-degree classes",
 		RunEdge: func(g *graph.Graph, p Params, opts ...dist.Option) (*dist.Result[[]int], []string, error) {
 			res, err := edgecolor.TradeoffEdgeColoring(g, p.B, p.P, g.MaxDegree()/2, msgMode(p.Mode), opts...)
 			return res, nil, err
 		},
 	})
 
+	// Corollary 6.2 randomized edge coloring (seeded restarts).
 	Register(Algorithm{
 		Kind: "edge", Name: "cor62",
-		Summary: "Corollary 6.2 randomized edge coloring (seeded restarts)",
 		RunEdge: func(g *graph.Graph, p Params, opts ...dist.Option) (*dist.Result[[]int], []string, error) {
 			res, err := edgecolor.RandomizedEdgeColoring(g, p.B, p.P, 8, msgMode(p.Mode), opts...)
 			return res, nil, err
 		},
 	})
 
+	// Procedure Legal-Color under bounded neighborhood independence.
 	Register(Algorithm{
 		Kind: "vertex", Name: "be", Quality: QualityFast,
-		Summary: "Procedure Legal-Color under bounded neighborhood independence",
 		Canon: func(p *Params) error {
 			if p.P == 0 {
 				p.P = 4*p.C + 1
@@ -163,21 +163,21 @@ func init() {
 		RunVertex: runLegal(core.StartIDs),
 	})
 
+	// Procedure Legal-Color seeded by vertex identifiers (alias of be).
 	Register(Algorithm{
 		Kind: "vertex", Name: "legal",
-		Summary:   "Procedure Legal-Color seeded by vertex identifiers (alias of be)",
 		RunVertex: runLegal(core.StartIDs),
 	})
 
+	// Procedure Legal-Color seeded by an auxiliary O(Δ²)-coloring.
 	Register(Algorithm{
 		Kind: "vertex", Name: "legalaux",
-		Summary:   "Procedure Legal-Color seeded by an auxiliary O(Δ²)-coloring",
 		RunVertex: runLegal(core.StartAux),
 	})
 
+	// Procedure Defective-Color: p²-coloring with bounded defect.
 	Register(Algorithm{
 		Kind: "vertex", Name: "defective", NoFooter: true,
-		Summary: "Procedure Defective-Color: p²-coloring with bounded defect",
 		RunVertex: func(g *graph.Graph, p Params, opts ...dist.Option) (*dist.Result[int], []string, error) {
 			res, err := core.DefectiveColoring(g, p.C, p.B, p.P, opts...)
 			if err != nil {
@@ -193,9 +193,9 @@ func init() {
 		},
 	})
 
+	// §6 tradeoff coloring on half-degree classes.
 	Register(Algorithm{
 		Kind: "vertex", Name: "tradeoff",
-		Summary: "§6 tradeoff coloring on half-degree classes",
 		RunVertex: func(g *graph.Graph, p Params, opts ...dist.Option) (*dist.Result[int], []string, error) {
 			classDeg := g.MaxDegree() / 2
 			if classDeg < 2 {
@@ -206,18 +206,18 @@ func init() {
 		},
 	})
 
+	// Randomized coloring with seeded restarts (κ = 8).
 	Register(Algorithm{
 		Kind: "vertex", Name: "randomized",
-		Summary: "randomized coloring with seeded restarts (κ = 8)",
 		RunVertex: func(g *graph.Graph, p Params, opts ...dist.Option) (*dist.Result[int], []string, error) {
 			res, err := core.RandomizedColoring(g, p.C, p.B, p.P, 8, opts...)
 			return res, nil, err
 		},
 	})
 
+	// Sequential-order greedy baseline (Δ+1 colors).
 	Register(Algorithm{
 		Kind: "vertex", Name: "greedy", Quality: QualityFast,
-		Summary: "sequential-order greedy baseline (Δ+1 colors)",
 		Canon: func(p *Params) error {
 			p.Mode, p.P, p.B, p.C = "", 0, 0, 0
 			return nil
@@ -230,6 +230,12 @@ func init() {
 			return res, nil, err
 		},
 	})
+}
+
+// edgePalette is the 2Δ−1 palette bound of the greedy-style edge colorings:
+// 0 on an edgeless graph, which has nothing to color.
+func edgePalette(delta int) int {
+	return max(2*delta-1, 0)
 }
 
 // legalEdgeAlgo builds the §5 edge Legal-Color bundle for g under the plan

@@ -48,78 +48,54 @@ func commBundle() dist.Algo[int] {
 	return dist.Algo[int]{Vertex: commAlgo}
 }
 
-// BenchmarkEngines compares the four engines on the dense workload.
-// "fresh" sub-benchmarks rebuild the runtime through dist.RunAlgo every
-// iteration; "steady" sub-benchmarks measure the production configuration —
-// repeated runs on one Runner — where per-run bookkeeping is amortized away
-// and only scheduling, delivery, and the algorithm itself remain. The
-// "hotpath" group is the service hot path (greedy edge coloring), where the
-// Compiled engine executes the hand-written CSR pass instead of scheduling
-// vertices; this is the workload the ≥10× single-core target is stated on.
-// Custom metrics report the LOCAL-model cost so BENCH_runtime.json tracks
-// rounds and message volume alongside wall-clock.
+// BenchmarkEngines compares the four engines on the dense workload, every
+// iteration one dist.RunAlgo, as every caller runs them. The "fresh" group
+// is the communication-heavy commAlgo; the "hotpath" group is the service
+// hot path (greedy edge coloring), where the Compiled engine executes the
+// hand-written CSR pass instead of scheduling vertices — the workload the
+// ≥10× single-core target is stated on. Custom metrics report the
+// LOCAL-model cost so BENCH_runtime.json tracks rounds and message volume
+// alongside wall-clock.
 //
 // Scheduling is the only engine-dependent cost of the comm workloads, so the
 // Sharded advantage scales with how much the host parallelizes the shard
-// workers. Compiled runs a bundle without a flat pass as a one-shot Lockstep
-// run, so it pays the coroutine setup that a reused Runner amortizes even in
-// the "steady" group; under a hand-written pass it replaces the per-vertex
-// control flow entirely.
+// workers. Compiled runs a bundle without a flat pass on one shard, exactly
+// as Lockstep; under a hand-written pass it replaces the per-vertex control
+// flow entirely.
 func BenchmarkEngines(b *testing.B) {
 	g := denseBenchGraph()
-	for _, e := range benchEngines {
-		b.Run(fmt.Sprintf("fresh/%v", e), func(b *testing.B) {
-			var stats dist.Stats
-			for i := 0; i < b.N; i++ {
-				res, err := dist.RunAlgo(g, commBundle(), dist.WithEngine(e))
-				if err != nil {
-					b.Fatal(err)
+	for _, w := range []struct {
+		name string
+		run  func(dist.Engine) (dist.Stats, error)
+	}{
+		{"fresh", oneShot(g, commBundle())},
+		{"hotpath", oneShot(g, baseline.GreedyEdgeAlgo())},
+	} {
+		for _, e := range benchEngines {
+			b.Run(fmt.Sprintf("%s/%v", w.name, e), func(b *testing.B) {
+				var stats dist.Stats
+				for i := 0; i < b.N; i++ {
+					st, err := w.run(e)
+					if err != nil {
+						b.Fatal(err)
+					}
+					stats = st
 				}
-				stats = res.Stats
-			}
-			b.ReportMetric(float64(stats.Rounds), "rounds")
-			b.ReportMetric(float64(stats.Bytes), "msgBytes")
-		})
+				b.ReportMetric(float64(stats.Rounds), "rounds")
+				b.ReportMetric(float64(stats.Bytes), "msgBytes")
+			})
+		}
 	}
-	for _, e := range benchEngines {
-		b.Run(fmt.Sprintf("steady/%v", e), func(b *testing.B) {
-			r := dist.NewRunner[int](g)
-			defer r.Close()
-			var stats dist.Stats
-			if _, err := r.RunAlgo(commBundle(), dist.WithEngine(e)); err != nil {
-				b.Fatal(err) // warm the pools before measuring steady state
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := r.RunAlgo(commBundle(), dist.WithEngine(e))
-				if err != nil {
-					b.Fatal(err)
-				}
-				stats = res.Stats
-			}
-			b.ReportMetric(float64(stats.Rounds), "rounds")
-			b.ReportMetric(float64(stats.Bytes), "msgBytes")
-		})
-	}
-	for _, e := range benchEngines {
-		b.Run(fmt.Sprintf("hotpath/%v", e), func(b *testing.B) {
-			r := dist.NewRunner[[]int](g)
-			defer r.Close()
-			var stats dist.Stats
-			if _, err := r.RunAlgo(baseline.GreedyEdgeAlgo(), dist.WithEngine(e)); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := r.RunAlgo(baseline.GreedyEdgeAlgo(), dist.WithEngine(e))
-				if err != nil {
-					b.Fatal(err)
-				}
-				stats = res.Stats
-			}
-			b.ReportMetric(float64(stats.Rounds), "rounds")
-			b.ReportMetric(float64(stats.Bytes), "msgBytes")
-		})
+}
+
+// oneShot returns one dist.RunAlgo of a on g per call, on the given engine.
+func oneShot[T any](g *graph.Graph, a dist.Algo[T]) func(dist.Engine) (dist.Stats, error) {
+	return func(e dist.Engine) (dist.Stats, error) {
+		res, err := dist.RunAlgo(g, a, dist.WithEngine(e))
+		if err != nil {
+			return dist.Stats{}, err
+		}
+		return res.Stats, nil
 	}
 }
 
@@ -154,45 +130,4 @@ func BenchmarkEnginesChatty(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkRunnerReuse measures what Runner amortization buys on repeated
-// runs over one graph — the experiment-grid access pattern. "fresh"
-// rebuilds the runtime state through dist.Run every iteration; "reused"
-// executes the same run on one long-lived Runner, so steady-state
-// iterations allocate only the Result.
-func BenchmarkRunnerReuse(b *testing.B) {
-	g := denseBenchGraph()
-	msg := []byte{1, 2, 3, 4} // shared: the algorithm itself allocates nothing
-	algo := func(v dist.Process) int {
-		acc := 0
-		for r := 0; r < 2; r++ {
-			in := v.Broadcast(msg)
-			for _, m := range in {
-				if m != nil {
-					acc += int(m[0])
-				}
-			}
-		}
-		return acc
-	}
-	b.Run("fresh", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := dist.Run(g, algo, dist.WithEngine(dist.Sharded)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("reused", func(b *testing.B) {
-		r := dist.NewRunner[int](g)
-		if _, err := r.Run(algo, dist.WithEngine(dist.Sharded)); err != nil {
-			b.Fatal(err) // warm the pools before measuring steady state
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := r.Run(algo, dist.WithEngine(dist.Sharded)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }

@@ -12,11 +12,9 @@ import (
 // one call over the graph's flat CSR arrays. An algorithm opts in by
 // bundling a hand-written flat pass (CompiledAlgo) next to its per-vertex
 // function (Algo). RunAlgo dispatches to the flat pass when the Compiled
-// engine is selected and the bundle carries one, and to Runner.Run
-// otherwise. Under Compiled, Runner.Run executes a plain per-vertex function
-// as a one-shot Lockstep run on a fresh Runner whose coroutines end with the
-// run, so the engine is always safe to ask for and keeps no per-graph vertex
-// state for functions without a flat pass.
+// engine is selected and the bundle carries one, and to the scheduler
+// otherwise, where Compiled runs a plain per-vertex function on one shard,
+// exactly as Lockstep, so the engine is always safe to ask for.
 //
 // The contract a CompiledAlgo must honor is strict byte-equality: for every
 // graph and seed its Outputs and Stats must equal those of the per-vertex
@@ -169,7 +167,7 @@ func roundCapErr(maxRounds int, s Stats) error {
 // RunAlgo executes a bundled algorithm at every vertex of g: under the
 // Compiled engine (and a non-nil a.Compiled) as a flat whole-run pass,
 // otherwise exactly as Run(g, a.Vertex, opts...). See Run for the execution
-// contract. A flat pass builds no Runner at all.
+// contract. A flat pass builds no vertex coroutine at all.
 func RunAlgo[T any](g *graph.Graph, a Algo[T], opts ...Option) (*Result[T], error) {
 	cfg := parseOptions(opts)
 	if cfg.engine == Compiled && a.Compiled != nil {
@@ -178,37 +176,10 @@ func RunAlgo[T any](g *graph.Graph, a Algo[T], opts ...Option) (*Result[T], erro
 	if a.Vertex == nil {
 		return nil, errNoVertex
 	}
-	return runOnce(g, a.Vertex, cfg)
-}
-
-// RunAlgo executes one bundled-algorithm run on this Runner; see RunAlgo
-// (package function) for semantics. Compiled runs, flat pass or one-shot,
-// touch none of the pooled vertex state, so mixing compiled and scheduled
-// runs on one Runner is free.
-func (r *Runner[T]) RunAlgo(a Algo[T], opts ...Option) (*Result[T], error) {
-	cfg := parseOptions(opts)
-	if cfg.engine == Compiled && a.Compiled != nil {
-		return runCompiled(r.g, a.Compiled, cfg)
-	}
-	if a.Vertex == nil {
-		return nil, errNoVertex
-	}
-	return r.run(a.Vertex, cfg)
+	return run(g, a.Vertex, cfg)
 }
 
 var errNoVertex = errors.New("dist: algo has no Vertex form")
-
-// RunAlgo acquires a Runner (reusing an idle one, building one under the
-// cap, or waiting for a release), executes one bundled-algorithm run on it,
-// and returns it to the pool. Runs on distinct runners proceed concurrently.
-// The result is byte-identical to RunAlgo(p.Graph(), a, opts...) — the
-// Runner contract guarantees it.
-func (p *Pool[T]) RunAlgo(a Algo[T], opts ...Option) (*Result[T], error) {
-	r := p.acquire()
-	res, err := r.RunAlgo(a, opts...)
-	p.release(r)
-	return res, err
-}
 
 // runCompiled is the Compiled engine's dispatch: one whole-run pass.
 func runCompiled[T any](g *graph.Graph, ca CompiledAlgo[T], cfg config) (*Result[T], error) {

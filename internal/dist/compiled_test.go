@@ -42,10 +42,9 @@ func TestRunAlgoRequiresVertexForm(t *testing.T) {
 	if _, err := RunAlgo(graph.Path(2), Algo[int]{}); err == nil || !strings.Contains(err.Error(), "Vertex") {
 		t.Fatalf("err = %v, want missing-Vertex error", err)
 	}
-	r := NewRunner[int](graph.Path(2))
-	defer r.Close()
-	if _, err := r.RunAlgo(Algo[int]{}); err == nil || !strings.Contains(err.Error(), "Vertex") {
-		t.Fatalf("runner err = %v, want missing-Vertex error", err)
+	p := NewPool[int](graph.Path(2), 1)
+	if _, err := p.RunAlgo(Algo[int]{}); err == nil || !strings.Contains(err.Error(), "Vertex") {
+		t.Fatalf("pool err = %v, want missing-Vertex error", err)
 	}
 }
 
@@ -196,29 +195,8 @@ func TestCompiledEmptyAndIsolated(t *testing.T) {
 	}
 }
 
-// TestCompiledRunnerRecoversAfterError: a failed compiled run does not
-// poison the Runner for subsequent runs on any engine.
-func TestCompiledRunnerRecoversAfterError(t *testing.T) {
-	g := graph.Cycle(8)
-	r := NewRunner[[]int](g)
-	defer r.Close()
-	bomb := func(v Process) []int { panic("bomb") }
-	if _, err := r.RunAlgo(Algo[[]int]{Vertex: bomb}, WithEngine(Compiled)); err == nil {
-		t.Fatal("want error from panicking compiled run")
-	}
-	want := runChatty(t, g, WithSeed(3), WithEngine(Goroutines))
-	for _, e := range []Engine{Compiled, Goroutines, Lockstep} {
-		got, err := r.RunAlgo(chattyAlgo(), WithSeed(3), WithEngine(e))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got.Outputs, want.Outputs) || got.Stats != want.Stats {
-			t.Fatalf("engine %v diverged after failed compiled run", e)
-		}
-	}
-}
-
-// TestPoolRunAlgo: Pool.RunAlgo matches fresh runs and recycles runners.
+// TestPoolRunAlgo: Pool.RunAlgo matches RunAlgo under Compiled, run after
+// run.
 func TestPoolRunAlgo(t *testing.T) {
 	g := graph.GNM(80, 260, 5)
 	p := NewPool[[]int](g, 2)
@@ -231,82 +209,6 @@ func TestPoolRunAlgo(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got.Outputs, want.Outputs) || got.Stats != want.Stats {
 			t.Fatalf("pooled compiled run %d diverged", i)
-		}
-	}
-	if s := p.Stats(); s.Reuses == 0 {
-		t.Fatalf("pool stats %+v: want reuses > 0", s)
-	}
-}
-
-// TestCompiledLeavesNoVertexState pins the Compiled engine's one-shot rule:
-// a per-vertex function without a flat pass runs on a fresh Runner that is
-// closed with the run. So a Runner or Pool that only serves Compiled runs
-// holds no vertex procs or coroutines, and a Runner warmed by a scheduled
-// run keeps its pooled state, untouched, across Compiled runs (failed ones
-// included) for its next scheduled run. The service's graph cache holds a
-// Pool per cached graph; this rule is what keeps its memory flat.
-func TestCompiledLeavesNoVertexState(t *testing.T) {
-	g := graph.GNM(60, 200, 4)
-	bomb := Algo[[]int]{Vertex: func(v Process) []int {
-		if v.ID() == 9 {
-			panic("bomb")
-		}
-		return chatty(v)
-	}}
-	base := liveGoroutines()
-
-	r := NewRunner[[]int](g)
-	defer r.Close()
-	if _, err := r.RunAlgo(chattyAlgo(), WithEngine(Compiled)); err != nil {
-		t.Fatal(err)
-	}
-	if r.procs != nil {
-		t.Fatalf("Runner holds %d procs after a Compiled run", len(r.procs))
-	}
-	settleGoroutines(t, "Compiled run on a Runner", base, false)
-
-	p := NewPool[[]int](g, 1)
-	defer p.Close()
-	for i := 0; i < 2; i++ {
-		if _, err := p.RunAlgo(chattyAlgo(), WithEngine(Compiled)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if len(p.idle) != 1 || p.idle[0].procs != nil {
-		t.Fatalf("Pool keeps vertex state after Compiled runs (%d idle runners)", len(p.idle))
-	}
-	settleGoroutines(t, "Compiled runs on a Pool", base, false)
-
-	want := runChatty(t, g, WithEngine(Lockstep))
-	if _, err := r.RunAlgo(chattyAlgo(), WithEngine(Lockstep)); err != nil {
-		t.Fatal(err)
-	}
-	procs := slices.Clone(r.procs)
-	coros := make([]*coro, len(procs))
-	for i, pr := range procs {
-		coros[i] = pr.co
-	}
-	warm := liveGoroutines()
-	if _, err := r.RunAlgo(chattyAlgo(), WithEngine(Compiled)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.RunAlgo(bomb, WithEngine(Compiled)); err == nil {
-		t.Fatal("want error from panicking compiled run")
-	}
-	settleGoroutines(t, "Compiled runs on a warmed Runner", warm, false)
-	got, err := r.RunAlgo(chattyAlgo(), WithEngine(Lockstep))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Outputs, want.Outputs) || got.Stats != want.Stats {
-		t.Fatal("warmed Runner diverged after Compiled runs")
-	}
-	if !slices.Equal(r.procs, procs) {
-		t.Fatal("Compiled runs replaced the warmed Runner's procs")
-	}
-	for i, pr := range r.procs {
-		if pr.co != coros[i] {
-			t.Fatalf("vertex %d runs a new coroutine after Compiled runs", i)
 		}
 	}
 }

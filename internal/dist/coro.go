@@ -8,8 +8,8 @@ import (
 // coro is one vertex coroutine (iter.Pull over body): next resumes it until
 // the running instance yields at Round or ends, stop unwinds it, and yield —
 // called only from inside — switches back to the resuming worker. Between
-// instances it parks idle, so a vertex of a reused Runner keeps one coroutine
-// across runs.
+// instances it parks idle, so a released coroutine can run a vertex of a
+// later run (only the race build keeps any; see keepIdleCoros).
 type coro struct {
 	next  func() (struct{}, bool)
 	stop  func()

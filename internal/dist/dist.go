@@ -36,20 +36,17 @@
 //     the vertices in index order.
 //   - Compiled runs algorithms that carry a hand-written whole-graph form
 //     (RunAlgo) as flat passes over the graph arrays. Any other per-vertex
-//     function runs as a one-shot Lockstep run on a fresh Runner: its
-//     coroutines end with the run, so a reused Runner or Pool keeps no
-//     vertex state for it.
+//     function runs on one shard, exactly as Lockstep.
 //
 // For a fixed graph and seed all engines produce byte-identical
 // Result.Outputs and Result.Stats: scheduling differs, the computation does
 // not. TestEnginesAgree pins this.
 //
-// Reuse. Run rebuilds the per-vertex runtime state from scratch on every
-// call, and its coroutines end with the run. NewRunner amortizes that state
-// — procs, vertex coroutines parked between runs, shards, pooled round
-// inboxes — across repeated runs over the same graph, so a steady-state run
-// allocates little beyond its Result; experiment grids that execute
-// thousands of runs should hold one Runner per graph.
+// One-shot runs. A run starts from each vertex's initial local state and
+// ends when every vertex halts, so no runtime state outlives it: Run and
+// RunAlgo build the per-vertex state (procs, vertex coroutines, shards,
+// delivery queues) for the one run, and its coroutines end before the call
+// returns, a failed run's included. Concurrent runs share nothing.
 //
 // Determinism. WithSeed fixes the per-vertex PRNG streams returned by
 // Process.Rand; each vertex derives its stream from (seed, identifier) with

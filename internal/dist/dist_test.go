@@ -98,39 +98,6 @@ func TestEnginesAgree(t *testing.T) {
 	}
 }
 
-// TestRunnerReuseAgrees pins the Runner reuse contract: repeated runs on one
-// Runner — same or different seeds, engines switched mid-stream, even after
-// an aborted run — match fresh dist.Run results exactly.
-func TestRunnerReuseAgrees(t *testing.T) {
-	g := graph.GNM(120, 500, 9)
-	r := NewRunner[[]int](g)
-	for i := 0; i < 3; i++ {
-		for _, e := range []Engine{Goroutines, Lockstep, Sharded, Compiled} {
-			for seed := int64(0); seed < 2; seed++ {
-				got, err := r.RunAlgo(chattyAlgo(), WithSeed(seed), WithEngine(e), WithShards(3))
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := runChatty(t, g, WithSeed(seed), WithEngine(e))
-				if !reflect.DeepEqual(got.Outputs, want.Outputs) || got.Stats != want.Stats {
-					t.Fatalf("reused runner diverged from fresh run (engine %v seed %d iter %d)", e, seed, i)
-				}
-			}
-		}
-		// Abort a run mid-stream; the Runner must rebuild and keep working.
-		if _, err := r.Run(func(v Process) []int {
-			if v.ID() == 5 {
-				panic("poison the runner")
-			}
-			for {
-				v.Round(nil)
-			}
-		}, WithEngine(Engine(i%3))); err == nil {
-			t.Fatal("poisoned run did not error")
-		}
-	}
-}
-
 // TestEchoForwardAcrossEngines pins the echo pattern — passing the slice
 // Round returned straight back as the next outbox — which aliases the
 // pooled inbox: the runtime must snapshot it so delivery's slot recycling

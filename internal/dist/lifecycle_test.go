@@ -19,15 +19,11 @@ func liveGoroutines() int {
 }
 
 // settleGoroutines polls until the live goroutine count is back to base and
-// fails after a deadline. With gc set, every poll first runs a collection,
-// so the cleanup of an unreachable Runner gets its chance to fire.
-func settleGoroutines(t *testing.T, what string, base int, gc bool) {
+// fails after a deadline.
+func settleGoroutines(t *testing.T, what string, base int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if gc {
-			runtime.GC()
-		}
 		n := liveGoroutines()
 		if n <= base {
 			return
@@ -39,10 +35,11 @@ func settleGoroutines(t *testing.T, what string, base int, gc bool) {
 	}
 }
 
-// TestRunnerLeavesNoGoroutines pins the runtime's lifecycle: one-shot runs,
-// Close after reuse, failed runs, Pool.Close, and the GC cleanup of a
-// dropped Runner each end every vertex coroutine and shard worker they
-// started.
+// TestRunnerLeavesNoGoroutines pins the runtime's lifecycle: on every
+// engine, a run ends every vertex coroutine and shard worker it started —
+// whether it succeeds, a vertex panics, the round cap trips, or a vertex
+// panics while the others sit inside Idle (whose user defers must all run) —
+// and so do concurrent Pool.RunAlgo runs.
 func TestRunnerLeavesNoGoroutines(t *testing.T) {
 	g := graph.GNM(60, 200, 4)
 	engines := []Engine{Goroutines, Lockstep, Sharded, Compiled}
@@ -63,37 +60,21 @@ func TestRunnerLeavesNoGoroutines(t *testing.T) {
 		if _, err := RunAlgo(g, chattyAlgo(), WithEngine(e), WithShards(3)); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Run(g, chatty, WithEngine(e), WithShards(3)); err != nil {
+		if _, err := Run(g, poolAlgo, WithEngine(e), WithShards(3)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	settleGoroutines(t, "one-shot runs", base, false)
+	settleGoroutines(t, "successful runs", base)
 
-	r := NewRunner[[]int](g)
-	for i := 0; i < 2; i++ {
-		for _, e := range engines {
-			if _, err := r.RunAlgo(chattyAlgo(), WithEngine(e), WithShards(3)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	r.Close()
-	settleGoroutines(t, "Close after reuse", base, false)
-	runtime.KeepAlive(r)
-
-	ri := NewRunner[int](g)
 	for _, e := range engines {
-		if _, err := ri.Run(poolAlgo, WithEngine(e), WithShards(3)); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ri.Run(bomb, WithEngine(e), WithShards(3)); err == nil {
+		if _, err := Run(g, bomb, WithEngine(e), WithShards(3)); err == nil {
 			t.Fatalf("engine %v: want panic error", e)
 		}
-		if _, err := ri.Run(forever, WithEngine(e), WithShards(3), WithMaxRounds(5)); err == nil {
-			t.Fatalf("engine %v: want round-cap error", e)
-		}
 		if _, err := RunAlgo(g, Algo[int]{Vertex: bomb}, WithEngine(e), WithShards(3)); err == nil {
-			t.Fatalf("engine %v: want one-shot panic error", e)
+			t.Fatalf("engine %v: want panic error", e)
+		}
+		if _, err := Run(g, forever, WithEngine(e), WithShards(3), WithMaxRounds(5)); err == nil {
+			t.Fatalf("engine %v: want round-cap error", e)
 		}
 	}
 	// A panic while every other vertex sits inside Idle: the idlers are
@@ -110,38 +91,27 @@ func TestRunnerLeavesNoGoroutines(t *testing.T) {
 	}
 	for _, e := range engines {
 		deferred.Store(0)
-		if _, err := ri.RunAlgo(Algo[int]{Vertex: bombIdle}, WithEngine(e), WithShards(3)); err == nil {
+		if _, err := RunAlgo(g, Algo[int]{Vertex: bombIdle}, WithEngine(e), WithShards(3)); err == nil {
 			t.Fatalf("engine %v: want panic error", e)
 		}
 		if n := deferred.Load(); n != int64(g.N()) {
 			t.Fatalf("engine %v: %d of %d user defers ran", e, n, g.N())
 		}
 	}
-	ri.Close()
-	settleGoroutines(t, "failed runs", base, false)
-	runtime.KeepAlive(ri)
+	settleGoroutines(t, "failed runs", base)
 
 	p := NewPool[int](g, 2)
 	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
+	for _, e := range engines {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := p.RunAlgo(Algo[int]{Vertex: poolAlgo}, WithEngine(engines[i]), WithShards(3)); err != nil {
+			if _, err := p.RunAlgo(Algo[int]{Vertex: poolAlgo}, WithEngine(e), WithShards(3)); err != nil {
 				t.Error(err)
 			}
 		}()
 	}
 	wg.Wait()
 	p.Close()
-	settleGoroutines(t, "Pool.Close", base, false)
-	runtime.KeepAlive(p)
-
-	func() {
-		dropped := NewRunner[int](g)
-		if _, err := dropped.Run(poolAlgo, WithShards(3)); err != nil {
-			t.Fatal(err)
-		}
-	}()
-	settleGoroutines(t, "dropped Runner", base, true)
+	settleGoroutines(t, "Pool.RunAlgo", base)
 }

@@ -12,84 +12,48 @@ import (
 // and returns the per-vertex outputs with the measured cost. See the package
 // documentation for the execution contract and the available Options.
 //
-// Run is a thin wrapper over a freshly built Runner, closed when the run
-// ends, so its vertex coroutines end with the run; callers that execute many
-// runs over the same graph should construct one Runner and reuse it so the
-// per-vertex runtime state is amortized across runs.
+// Every run is one-shot: it builds its own per-vertex runtime state (procs,
+// vertex coroutines, shards, delivery queues), and its vertex coroutines end
+// with the run, so nothing of it outlives the call.
 //
 // A panic inside any vertex instance aborts the run and is returned as an
 // error carrying the vertex and the panic value.
 func Run[T any](g *graph.Graph, algo func(Process) T, opts ...Option) (*Result[T], error) {
-	return runOnce(g, algo, parseOptions(opts))
+	return run(g, algo, parseOptions(opts))
 }
 
-// runOnce executes one run on a fresh Runner closed when the run ends. The
-// Runner is fresh either way, so Compiled goes straight to Lockstep.
-func runOnce[T any](g *graph.Graph, algo func(Process) T, cfg config) (*Result[T], error) {
-	if cfg.engine == Compiled {
+// run executes one scheduled run. A plain per-vertex function has no flat
+// pass (RunAlgo dispatches those before reaching here), so Compiled runs it
+// on one shard, exactly as Lockstep does.
+//
+// The deferred releaseCoros ends every vertex coroutine, including those of
+// a failed run (vertex panic, round cap): the ones parked inside Round are
+// stopped, running their user defers, before the error is returned.
+func run[T any](g *graph.Graph, algo func(Process) T, cfg config) (*Result[T], error) {
+	switch cfg.engine {
+	case Compiled:
 		cfg.engine = Lockstep
+	case Goroutines, Lockstep, Sharded:
+	default:
+		return nil, fmt.Errorf("dist: unknown engine %v", cfg.engine)
 	}
-	r := NewRunner[T](g)
-	defer r.Close()
-	return r.run(algo, cfg)
-}
-
-// Runner executes repeated runs over one graph, amortizing the per-vertex
-// runtime state — proc structs, the vertex coroutines themselves, the shard
-// partition and its delivery queues, round inbox buffers, and Broadcast
-// scratch outboxes — so that a steady-state run costs O(work), not
-// O(bookkeeping). The reverse-slot table lives in the graph itself
-// (graph.Slots, computed at build time), so a Runner adds no per-run
-// preprocessing at all: between runs every vertex coroutine stays
-// parked idle, and a new run merely resets statuses and resumes them again.
-//
-// Reuse contract: a Runner is NOT safe for concurrent use — runs must be
-// issued one at a time (each run still executes vertices concurrently
-// internally, engine permitting). Outputs and Stats of finished runs remain
-// valid indefinitely, but message buffers received by an algorithm are only
-// valid until its next Round call, as documented on Process.Round. A failed
-// run (vertex panic, round cap) closes the Runner before the error is
-// returned — the aborted vertices' user defers have run by then — and the
-// next run rebuilds the pooled state.
-//
-// Close ends the parked vertex coroutines; forgetting to call it is not
-// fatal (a GC cleanup ends them when the Runner becomes unreachable), but
-// explicit Close is deterministic and cheap.
-type Runner[T any] struct {
-	g     *graph.Graph
-	delta int
-
-	procs   []*proc[T]
-	status  []uint8      // dense per-vertex lifecycle, indexed like procs
-	outbox  [][][]byte   // dense per-vertex staged outboxes
-	shardOf []int32      // dense vertex -> shard index (multi-shard runs)
-	written [][]slotRef  // per dest shard: inbox slots filled last round
-	queues  [][][]qentry // [src shard][dest shard] staged message queue
-	shards  []shard[T]   // vertex partition, rebuilt when the count changes
-	// cleanup releases the coroutines of a Runner dropped without Close; it
-	// is registered each time prepare builds the procs.
-	cleanup runtime.Cleanup
-}
-
-// NewRunner returns a Runner for the given graph. The type parameter is the
-// per-vertex output type of the algorithms it will run.
-func NewRunner[T any](g *graph.Graph) *Runner[T] {
-	return &Runner[T]{g: g, delta: g.MaxDegree()}
-}
-
-// Close ends the Runner's vertex coroutines and drops its pooled state. The
-// Runner may be used again afterwards (the next Run rebuilds), but the
-// idiomatic lifecycle is one Close at the end, usually by defer.
-func (r *Runner[T]) Close() {
-	r.cleanup.Stop()
-	releaseCoros(r.procs)
-	*r = Runner[T]{g: r.g, delta: r.delta}
+	res := &Result[T]{Outputs: make([]T, g.N())}
+	if g.N() == 0 {
+		return res, nil
+	}
+	s := newSched(g, algo, cfg, res)
+	defer releaseCoros(s.procs)
+	if err := s.run(); err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // releaseCoros gives back the vertex coroutines of procs. One parked inside
 // Round (an aborted run) is stopped: it unwinds through the abort sentinel,
 // running user defers, before stop returns. Every other one is idle —
-// between instances or never resumed — and is released with putCoro.
+// its instance returned, or it was never resumed — and is released with
+// putCoro.
 func releaseCoros[T any](procs []*proc[T]) {
 	for _, p := range procs {
 		if p.s.status[p.idx] == statusYielded {
@@ -100,81 +64,11 @@ func releaseCoros[T any](procs []*proc[T]) {
 	}
 }
 
-// clearStale nils the inbox slots filled by the previous run's final round,
-// restoring the all-nil inbox invariant delivery relies on, in O(slots
-// filled) rather than O(m).
-func (r *Runner[T]) clearStale() {
-	for j, wl := range r.written {
-		for _, sr := range wl {
-			r.procs[sr.idx].inbox[sr.port] = nil
-		}
-		r.written[j] = wl[:0]
-	}
-}
-
-// Run executes one run; see Run (package function) for semantics.
-//
-// A failed run is closed before the error is returned: the coroutines parked
-// inside Round are stopped, so no aborted vertex still runs user code, and
-// the next run rebuilds the pooled state from scratch.
-func (r *Runner[T]) Run(algo func(Process) T, opts ...Option) (*Result[T], error) {
-	return r.run(algo, parseOptions(opts))
-}
-
-// run executes one run under a parsed configuration.
-func (r *Runner[T]) run(algo func(Process) T, cfg config) (*Result[T], error) {
-	if cfg.engine == Compiled {
-		// A plain per-vertex function has no flat pass (RunAlgo dispatches
-		// those before reaching here), so the Compiled engine runs it as a
-		// one-shot Lockstep run on a fresh Runner: its coroutines end with
-		// the run, and r's pooled state is left untouched.
-		return runOnce(r.g, algo, cfg)
-	}
-	if cfg.engine != Goroutines && cfg.engine != Lockstep && cfg.engine != Sharded {
-		return nil, fmt.Errorf("dist: unknown engine %v", cfg.engine)
-	}
-	res := &Result[T]{Outputs: make([]T, r.g.N())}
-	if r.g.N() == 0 {
-		return res, nil
-	}
-	if err := r.prepare(cfg, algo, res).run(); err != nil {
-		r.Close()
-		return nil, err
-	}
-	return res, nil
-}
-
-// prepare resets the pooled per-vertex state for one run and binds it to a
-// fresh per-run scheduler, creating the vertex coroutines if none are live.
-func (r *Runner[T]) prepare(cfg config, algo func(Process) T, res *Result[T]) *sched[T] {
-	n := r.g.N()
-	if r.procs == nil {
-		r.procs = make([]*proc[T], n)
-		for v := 0; v < n; v++ {
-			p := &proc[T]{idx: v, id: r.g.ID(v)}
-			p.co = getCoro(p)
-			r.procs[v] = p
-		}
-		r.status = make([]uint8, n)
-		r.outbox = make([][][]byte, n)
-		// Safety net for Runners dropped without Close: release the parked
-		// coroutines once the Runner is unreachable. No proc references the
-		// Runner, so passing them here does not keep it alive.
-		r.cleanup = runtime.AddCleanup(r, releaseCoros[T], r.procs)
-	}
-	// Undo the previous run's final delivery before the written lists are
-	// potentially resized for a different engine or shard count.
-	r.clearStale()
-	s := &sched[T]{
-		g:      r.g,
-		cfg:    cfg,
-		algo:   algo,
-		res:    res,
-		delta:  r.delta,
-		procs:  r.procs,
-		status: r.status,
-		outbox: r.outbox,
-	}
+// newSched builds the runtime state of one run: a proc and a coroutine per
+// vertex, every vertex running and active, and the vertex set split into
+// the engine's shards.
+func newSched[T any](g *graph.Graph, algo func(Process) T, cfg config, res *Result[T]) *sched[T] {
+	n := g.N()
 	count := 1 // Lockstep runs on a single shard
 	if cfg.engine != Lockstep {
 		count = cfg.shards
@@ -183,47 +77,39 @@ func (r *Runner[T]) prepare(cfg config, algo func(Process) T, res *Result[T]) *s
 		}
 		count = min(count, n, MaxShards)
 	}
-	if len(r.shards) != count {
-		r.shards = make([]shard[T], count)
-		for i := range r.shards {
-			r.shards[i] = shard[T]{index: i, lo: i * n / count, hi: (i + 1) * n / count}
-		}
+	s := &sched[T]{
+		g:       g,
+		cfg:     cfg,
+		algo:    algo,
+		res:     res,
+		delta:   g.MaxDegree(),
+		procs:   make([]*proc[T], n),
+		status:  make([]uint8, n), // statusRunning
+		outbox:  make([][][]byte, n),
+		written: make([][]slotRef, count),
+		shards:  make([]shard[T], count),
 	}
-	s.shards = r.shards
 	// A single shard needs no destination binning: its delivery is the
 	// scatter pass (which also does the accounting), so the queue and
 	// shard-lookup machinery stays nil and staging costs O(1).
 	if count > 1 {
-		if r.shardOf == nil {
-			r.shardOf = make([]int32, n)
+		s.shardOf = make([]int32, n)
+		s.queues = make([][][]qentry, count)
+		for i := range s.queues {
+			s.queues[i] = make([][]qentry, count)
 		}
-		if len(r.queues) != count {
-			r.queues = make([][][]qentry, count)
-			for i := range r.queues {
-				r.queues[i] = make([][]qentry, count)
-			}
-		}
-		s.shardOf = r.shardOf
-		s.queues = r.queues
 	}
-	if len(r.written) != count {
-		r.written = make([][]slotRef, count)
-	}
-	s.written = r.written
-	for _, p := range r.procs {
-		p.s = s
-		p.rng = nil
-		p.idle = 0
-		r.status[p.idx] = statusRunning
-		r.outbox[p.idx] = nil
-	}
+	procs := make([]proc[T], n)
+	active := make([]*proc[T], n) // each shard's active list is its own range
 	for i := range s.shards {
 		sh := &s.shards[i]
-		sh.stats = Stats{}
-		sh.err = nil
-		sh.active = append(sh.active[:0], r.procs[sh.lo:sh.hi]...)
+		sh.index, sh.lo, sh.hi = i, i*n/count, (i+1)*n/count
+		sh.active = active[sh.lo:sh.hi:sh.hi]
 		for v := sh.lo; v < sh.hi; v++ {
-			r.procs[v].shard = sh
+			p := &procs[v]
+			p.s, p.idx, p.id, p.shard = s, v, g.ID(v), sh
+			p.co = getCoro(p)
+			s.procs[v], active[v] = p, p
 			if s.shardOf != nil {
 				s.shardOf[v] = int32(i)
 			}
@@ -242,9 +128,9 @@ const (
 	statusDone                 // returned; output recorded
 )
 
-// slotRef names one inbox slot filled by a delivery; the next delivery (or
-// the next run) clears exactly these slots, so the all-nil inbox invariant
-// is maintained in O(messages), not O(m).
+// slotRef names one inbox slot filled by a delivery; the next delivery
+// clears exactly these slots, so the all-nil inbox invariant is maintained
+// in O(messages), not O(m).
 type slotRef struct{ idx, port int32 }
 
 // qentry is one staged message in a multi-shard delivery queue: the
@@ -259,8 +145,7 @@ type qentry struct {
 // have run.
 type abortRun struct{}
 
-// proc is the per-vertex runtime state; it implements Process. A Runner
-// keeps procs (and their pooled buffers and coroutines) alive across runs.
+// proc is the per-vertex runtime state of one run; it implements Process.
 type proc[T any] struct {
 	s   *sched[T]
 	idx int // vertex index in g
@@ -277,7 +162,7 @@ type proc[T any] struct {
 	rng  *rand.Rand
 	// inbox is the vertex's stable round inbox: a single pooled buffer of
 	// length Deg, allocated on first use and then reused for every round
-	// of every run. Delivery rewrites only the slots it touches (clearing
+	// of the run. Delivery rewrites only the slots it touches (clearing
 	// last round's via the written lists), so the slice Round returns is
 	// exactly this buffer — valid until the vertex's next Round call, as
 	// the Process contract states.
@@ -394,8 +279,8 @@ func sameBuffer(a, b []byte) bool {
 	return len(a) == len(b) && len(a) > 0 && &a[0] == &b[0]
 }
 
-// instance executes one algorithm instance — the vertex coroutine's task
-// for every run — to completion and records its output and halt. A panic
+// instance executes one algorithm instance — the vertex coroutine's task —
+// to completion and records its output and halt. A panic
 // anywhere in the algorithm is recorded against the vertex's shard instead,
 // unless it is part of an abort unwind.
 func (p *proc[T]) instance() {
@@ -433,7 +318,7 @@ type sched[T any] struct {
 }
 
 // run drives rounds until every vertex has halted, a vertex panics, or the
-// round cap trips. On error the caller (Runner.Run) stops the coroutines.
+// round cap trips. On error the caller (run) stops the coroutines.
 func (s *sched[T]) run() error {
 	for {
 		if err := s.release(); err != nil {

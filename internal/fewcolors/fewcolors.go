@@ -68,10 +68,7 @@ func Algo() dist.Algo[[]int] {
 
 func vertex(v dist.Process) []int {
 	delta := v.MaxDegree()
-	if delta == 0 {
-		return make([]int, v.Deg())
-	}
-	colors := panconesi.EdgeColorStep(v, nil, delta)
+	colors := panconesi.EdgeColorStep(v, nil, delta) // returns at once at Δ=0
 	top := 2*delta - 1
 	for s := 0; s < sweeps; s++ {
 		for k := top; k >= 2; k-- {

@@ -14,7 +14,8 @@ import (
 // the whole-run form the Compiled engine executes: the same colors and the
 // same Stats, computed in one sweep over the graph's CSR arrays instead of
 // one coroutine per vertex. degBound must be at least the graph's maximum
-// degree.
+// degree; at degBound 0 (an edgeless graph) both forms return at once,
+// spending no round.
 func EdgeColorAlgo(degBound int) dist.Algo[[]int] {
 	return dist.Algo[[]int]{
 		Vertex: func(v dist.Process) []int {
@@ -52,6 +53,10 @@ func (fp flatPass) RunCompiled(g *graph.Graph, env dist.CompiledEnv, out [][]int
 	n, degBound := g.N(), fp.degBound
 	if d := g.MaxDegree(); d > degBound {
 		return dist.Stats{}, fmt.Errorf("panconesi: graph degree %d exceeds degBound %d", d, degBound)
+	}
+	if degBound == 0 {
+		graph.SlotPortColors(g, []int{}, out) // an edgeless graph: no round
+		return dist.Stats{}, nil
 	}
 	off, rev := g.Slots()
 	m2 := off[n]

@@ -30,6 +30,7 @@ func TestFlatPassOnFamilies(t *testing.T) {
 		{Family: "fig1", Deg: 5},
 		{Family: "linegraph", N: 20, M: 40, Seed: 5},
 		{Family: "hyperline", N: 24, M: 30, Deg: 3, Seed: 6},
+		{Family: "gnm", N: 5, M: 0, Seed: 1}, // edgeless: no round at degBound 0
 	} {
 		g, err := spec.Build()
 		if err != nil {
@@ -60,7 +61,7 @@ func TestFlatPassOnFamilies(t *testing.T) {
 			if err := graph.CheckEdgeColoring(g, colors); err != nil {
 				t.Fatalf("%v: %v", spec, err)
 			}
-			if mc := graph.MaxColor(colors); mc > 2*degBound-1 {
+			if mc := graph.MaxColor(colors); mc > max(2*degBound-1, 0) {
 				t.Fatalf("%v: color %d outside the palette {1..%d}", spec, mc, 2*degBound-1)
 			}
 		}

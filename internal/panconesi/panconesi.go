@@ -45,8 +45,12 @@ const stages = 3
 
 // Rounds returns the exact round cost of EdgeColorStep/EdgeColorMulti for an
 // n-vertex network with the given degree bound: 1 labeling round, the forest
-// 3-coloring, and 2 rounds per (within-class forest, color) stage.
+// 3-coloring, and 2 rounds per (within-class forest, color) stage. At
+// degBound 0 no class can hold an edge, so no round is spent.
 func Rounds(n, degBound int) int {
+	if degBound == 0 {
+		return 0
+	}
 	return 1 + forest.TotalRounds(n) + 2*stages*degBound
 }
 
@@ -72,6 +76,9 @@ func EdgeColorStep(v dist.Process, active []bool, degBound int) []int {
 // have degree ≤ degBound at every vertex.
 func EdgeColorMulti(v dist.Process, classOf []int, degBound int) []int {
 	deg := v.Deg()
+	if degBound == 0 {
+		return make([]int, deg) // no class can hold an edge: nothing to color
+	}
 	m := forest.AssignLabelsClasses(v, classOf, degBound)
 	st := leaf{
 		v:        v,

@@ -71,15 +71,11 @@ func (s *Service) resolve(req Request) (*canonReq, error) {
 		},
 	}
 	if req.Kind == "edge" {
-		if g.M() == 0 {
-			c.runner = emptyEdges
-		} else {
-			algo, palette, err := alg.BuildEdge(g, params)
-			if err != nil {
-				return nil, err
-			}
-			c.runner = edgeRunner(algo, palette)
+		algo, palette, err := alg.BuildEdge(g, params)
+		if err != nil {
+			return nil, err
 		}
+		c.runner = edgeRunner(algo, palette)
 	} else {
 		algo, palette, err := alg.BuildVertex(g, params)
 		if err != nil {
@@ -151,12 +147,4 @@ func vertexRunner(algo dist.Algo[int], palette int) func(*canonReq) (*record, er
 		rec.stats = res.Stats
 		return rec, nil
 	}
-}
-
-// emptyEdges answers edge requests on edgeless graphs without a run: there
-// is nothing to color and no run to account.
-func emptyEdges(c *canonReq) (*record, error) {
-	rec := c.baseRecord(0)
-	rec.colors = []int{}
-	return rec, nil
 }

@@ -419,3 +419,38 @@ func TestSessionSnapshotRecordsEngine(t *testing.T) {
 		t.Fatalf("session engine = %q, want compiled", sessions[0].Engine)
 	}
 }
+
+// TestEdgelessBodies pins the /v1/color bodies of every servable edge
+// algorithm on an edgeless graph, on the flat-pass engine and on the
+// scheduler: the empty coloring with palette 0, spending no round.
+func TestEdgelessBodies(t *testing.T) {
+	keys := map[string]string{
+		"be":        "bded5d8aefbbdaca06b54448e331a2bdd5d40f01b6db8a58c396d0757eb85ef5",
+		"pr":        "3421518e2c7d14d7ae827bcf368b9789604a4c5bee80600602b857a272751eda",
+		"greedy":    "01ab4dfde35e75adc9024c8860a4687e40431c506f82278f761558dfc1a5cf64",
+		"fewcolors": "07cd91db0c30665f8742844ee790d4124cd3b78ae1f280edfed6eb2ae3f5df1e",
+	}
+	for _, e := range []dist.Engine{dist.Compiled, dist.Goroutines} {
+		cfg := testConfig()
+		cfg.Engine = e
+		s := New(cfg)
+		srv := httptest.NewServer(s.Handler())
+		for _, alg := range []string{"be", "pr", "greedy", "fewcolors"} {
+			req := `{"kind":"edge","alg":"` + alg + `","graph":{"family":"gnm","n":5,"m":0,"seed":1}}`
+			resp, err := http.Post(srv.URL+"/v1/color", "application/json", strings.NewReader(req))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			want := `{"key":"` + keys[alg] + `","kind":"edge","alg":"` + alg + `","graph":"gnm(n=5,m=0,seed=1)",` +
+				`"n":5,"m":0,"delta":0,"palette":0,"numColors":0,"colors":[],` +
+				`"stats":{"rounds":0,"bytes":0,"maxMessageBytes":0,"activations":0}}` + "\n"
+			if resp.StatusCode != http.StatusOK || string(got) != want {
+				t.Errorf("%v %s: status %d body\n%s\nwant\n%s", e, alg, resp.StatusCode, got, want)
+			}
+		}
+		srv.Close()
+		s.Close()
+	}
+}

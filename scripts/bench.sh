@@ -2,11 +2,11 @@
 # bench.sh — run the runtime-facing benchmark suite and emit BENCH_runtime.json.
 #
 # The suite covers the root per-artifact benchmarks and the internal/dist
-# engine/runner benchmarks with -benchmem, so the JSON tracks wall-clock
+# engine benchmarks with -benchmem, so the JSON tracks wall-clock
 # (ns/op), allocation behavior (B/op, allocs/op), and the LOCAL-model custom
 # metrics (rounds, msgBytes, colors, ...) per benchmark. The engine
 # benchmarks emit one row per engine per workload
-# (BenchmarkEngines/{fresh,steady,hotpath}/{goroutines,lockstep,sharded,compiled}),
+# (BenchmarkEngines/{fresh,hotpath}/{goroutines,lockstep,sharded,compiled}),
 # so BENCH_runtime.json shows the whole engine trajectory — including the
 # compiled hot-path speedup — side by side. The internal/dynamic rows cover
 # the mutation path: the canonical run every session starts with, a
