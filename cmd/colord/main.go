@@ -65,7 +65,7 @@ func run(args []string) error {
 		addrFile = fs.String("addr-file", "", "write the bound address to this file once listening (harness handshake)")
 		workers  = fs.Int("workers", 0, "concurrent algorithm executions (0 = GOMAXPROCS)")
 		engine   = fs.String("engine", "compiled", "default dist scheduler: goroutines|lockstep|sharded|compiled (requests may override)")
-		cache    = fs.Int("cache", 4096, "result cache capacity (entries)")
+		cache    = fs.Int("cache", 4096, "result cache and wire fast-path cache capacity (entries each)")
 		graphs   = fs.Int("graphs", 64, "built-graph cache capacity (entries)")
 		subsMax  = fs.Int("max-subscribers", 4096, "global cap on concurrent SSE subscribers")
 		subsPer  = fs.Int("session-subscribers", 1024, "per-session SSE subscriber quota")

@@ -75,7 +75,7 @@ func run(args []string) error {
 		return fmt.Errorf("result is not a legal edge coloring: %w", err)
 	}
 	fmt.Printf("legal edge coloring: %d colors (2Δ-1 = %d), stats: %v\n",
-		graph.CountColors(colors), 2*g.MaxDegree()-1, ports.Stats)
+		graph.CountColors(colors), max(2*g.MaxDegree()-1, 0), ports.Stats)
 	if *dot != "" {
 		f, err := os.Create(*dot)
 		if err != nil {

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -497,6 +498,39 @@ func TestGatewayForwardsQuery(t *testing.T) {
 		}
 		if resp.StatusCode != http.StatusOK || !bytes.Contains(got, []byte(`"paletteBound"`)) {
 			t.Fatalf("%s?detail=1: %d %s, want the detail envelope", c.path, resp.StatusCode, got)
+		}
+	}
+}
+
+// TestGatewaySubscribeEscapedNames: session names that need escaping in a
+// query string subscribe through the gateway exactly as they were created.
+// The gateway forwards the client's query as sent, so the owner decodes the
+// same name and answers with that session's hello.
+func TestGatewaySubscribeEscapedNames(t *testing.T) {
+	tc := startCluster(t, 2, service.Config{Workers: 2})
+	base := exp.GraphSpec{Family: "gnm", N: 24, M: 50, Seed: 1}
+	for _, name := range []string{"a&b", "x y", "p%q"} {
+		createBody, _ := json.Marshal(service.MutateRequest{Session: name, Base: &base})
+		if resp, data := postJSON(t, tc.gwSrv.URL+"/v1/mutate", createBody); resp.StatusCode != http.StatusOK {
+			t.Fatalf("create %q: %d: %s", name, resp.StatusCode, data)
+		}
+		resp, err := http.Get(tc.gwSrv.URL + "/v1/subscribe?session=" + url.QueryEscape(name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			data, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			t.Fatalf("subscribe %q via gateway: %d: %s", name, resp.StatusCode, data)
+		}
+		_, ev, data, err := readSSEFrame(bufio.NewReader(resp.Body))
+		resp.Body.Close()
+		if err != nil || ev != "hello" {
+			t.Fatalf("subscribe %q: first frame %q err %v", name, ev, err)
+		}
+		var hello service.HelloEvent
+		if err := json.Unmarshal(data, &hello); err != nil || hello.Session != name {
+			t.Fatalf("subscribe %q: hello %s (err %v) names another session", name, data, err)
 		}
 	}
 }

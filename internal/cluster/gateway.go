@@ -344,7 +344,7 @@ func (g *Gateway) serveSubscribe(w http.ResponseWriter, r *http.Request) {
 	order := g.rank(SessionKey(name))
 	for i, st := range order {
 		last := i == len(order)-1
-		req, err := http.NewRequest("GET", st.url+"/v1/subscribe?session="+name, nil)
+		req, err := http.NewRequest("GET", st.url+withQuery("/v1/subscribe", r), nil)
 		if err != nil {
 			httpError(w, http.StatusInternalServerError, err.Error())
 			return

@@ -513,7 +513,7 @@ func (m *Maintainer) Colors() []int {
 
 // Snapshot returns the current fingerprint, shape, and coloring as one
 // atomic read, so concurrent mutations cannot tear a (fingerprint, colors)
-// pair apart — the pair is what fingerprint-keyed caches store.
+// pair apart: a response built from it names the edge set its colors are for.
 func (m *Maintainer) Snapshot() (fp graph.Fingerprint, n, mm, delta int, colors []int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -85,10 +85,8 @@ func (s *Service) resolve(req Request) (*canonReq, error) {
 	}
 
 	c.req = req
-	c.key, c.hash = entry.cachedKey(algKey{
-		kind: req.Kind, alg: req.Alg, mode: req.Mode,
-		b: req.B, p: req.P, c: req.C, seed: req.Seed,
-	}, &req)
+	c.key = cacheKey(&req, entry.fp)
+	c.hash = cacheHashString(c.key)
 	return c, nil
 }
 

@@ -17,16 +17,13 @@ import (
 	"repro/internal/exp"
 	"repro/internal/graph"
 	"repro/internal/wal"
-	"repro/internal/wire"
 )
 
 // MutateRequest drives one dynamic graph session: a named, server-resident
 // mutable graph whose edge coloring the service maintains incrementally
 // (dynamic.Maintainer). A request either mutates the session (Ops non-empty)
 // or reads it (Ops empty); reads with Colors set return the full maintained
-// coloring and are served through the deterministic result cache, keyed by
-// the session's evolving edge-set fingerprint — any mutation moves the
-// fingerprint, so stale colorings are unreachable by construction.
+// coloring from one atomic snapshot of the maintainer.
 type MutateRequest struct {
 	// Session names the dynamic graph. Sessions live in a bounded LRU;
 	// evicting or closing one discards its state.
@@ -46,8 +43,8 @@ type MutateRequest struct {
 
 // MutateResponse reports the session state after the request. Mutating
 // requests additionally carry the repair scope of this call and the
-// session's cumulative totals; cached reads carry only fingerprint-determined
-// fields, so their bodies are byte-identical however they are served.
+// session's cumulative totals; coloring reads carry only
+// fingerprint-determined fields.
 type MutateResponse struct {
 	Session     string `json:"session"`
 	Fingerprint string `json:"fingerprint"`
@@ -58,7 +55,7 @@ type MutateResponse struct {
 	Applied int `json:"applied,omitempty"`
 	// Repair aggregates the repair scope of this request's ops.
 	Repair *dynamic.Report `json:"repair,omitempty"`
-	// Totals is the session's cumulative accounting (not on cached reads:
+	// Totals is the session's cumulative accounting (not on coloring reads:
 	// it is not a function of the fingerprint).
 	Totals    *dynamic.Stats `json:"totals,omitempty"`
 	NumColors int            `json:"numColors,omitempty"`
@@ -291,17 +288,16 @@ type SessionSnapshot struct {
 	WALBytes int64 `json:"walBytes,omitempty"`
 }
 
-// Mutate serves one dynamic session request. Mutations always execute;
-// pure coloring reads are answered from the result cache when the session
-// fingerprint has not moved since the coloring was last rendered.
+// Mutate serves one dynamic session request. Mutations and pure coloring
+// reads both execute against the live maintainer; neither touches the
+// result cache, so the outcome is always Miss.
 func (s *Service) Mutate(req MutateRequest) (*MutateResponse, Outcome, error) {
 	return s.mutate(req, false)
 }
 
 // mutate is Mutate plus the ?detail=1 switch: with detail set, the response
 // additionally carries the repair algorithm's identity, tier, palette bound,
-// and measured color count. The detail fields are filled after any cache
-// interaction — cached read records stay detail-free and byte-stable.
+// and measured color count.
 func (s *Service) mutate(req MutateRequest, detail bool) (*MutateResponse, Outcome, error) {
 	// Stripe the counters by session name: concurrent sessions update
 	// disjoint cache lines, and all of one request's counts stay coherent
@@ -329,11 +325,11 @@ func (s *Service) mutate(req MutateRequest, detail bool) (*MutateResponse, Outco
 		return nil, "", err
 	}
 	if len(req.Ops) == 0 && req.Colors {
-		resp, outcome, err := s.readColors(req.Session, sess, ctr)
-		if err == nil && detail {
+		resp := sess.readColors()
+		if detail {
 			fillRepairDetail(resp, resp.NumColors)
 		}
-		return resp, outcome, err
+		return resp, Miss, nil
 	}
 
 	rep, applied, err := sess.mt.Apply(req.Ops)
@@ -494,32 +490,15 @@ func (s *Service) buildMaintainer(name string, spec exp.GraphSpec) (*dynamic.Mai
 	return m, l, hdr.Base, len(recs), nil
 }
 
-// readColors serves a pure coloring read through the result cache. The key
-// hashes the session name and its current fingerprint, so every mutation
-// invalidates by moving the key, and a response body is a pure function of
-// its key — cache hits are byte-identical to fresh renders.
-func (s *Service) readColors(name string, sess *session, ctr *counterStripe) (*MutateResponse, Outcome, error) {
-	// The snapshot is atomic in the maintainer, so the (fingerprint,
-	// colors) pair cannot be torn by a concurrent mutation — exactly what a
-	// fingerprint-keyed cache entry requires. The wire fast lane is
-	// deliberately not used here: the fingerprint moves under mutation, so
-	// raw request bytes are not a stable key for session reads.
-	fp, n, m, delta, colors := sess.mt.Snapshot()
-	var kw wire.Writer
-	kw.String("colord-dynkey-v1").String(name).Raw(fp[:])
-	sum := sha256.Sum256(kw.Bytes())
-	key := hex.EncodeToString(sum[:])
-	if v, ok := s.cache.get(key); ok {
-		resp, err := decodeDynRecord(v.rec)
-		if err != nil {
-			ctr.errors.Add(1)
-			return nil, "", err
-		}
-		ctr.hits.Add(1)
-		return resp, Hit, nil
-	}
-	resp := &MutateResponse{
-		Session:     name,
+// readColors serves a pure coloring read from one atomic maintainer
+// snapshot, so the (fingerprint, colors) pair cannot be torn by a concurrent
+// mutation. Neither cache serves these reads: the body is rendered from the
+// snapshot the read must take anyway, and raw request bytes are not a stable
+// key while the fingerprint moves under mutation.
+func (s *session) readColors() *MutateResponse {
+	fp, n, m, delta, colors := s.mt.Snapshot()
+	return &MutateResponse{
+		Session:     s.name,
 		Fingerprint: fp.String(),
 		N:           n,
 		M:           m,
@@ -527,35 +506,4 @@ func (s *Service) readColors(name string, sess *session, ctr *counterStripe) (*M
 		Colors:      colors,
 		NumColors:   graph.CountColors(colors),
 	}
-	s.cache.put(key, newCacheValue(key, encodeDynRecord(resp)))
-	return resp, Miss, nil
-}
-
-const dynRecordTag = "colord-dynrec-v1"
-
-func encodeDynRecord(r *MutateResponse) []byte {
-	var w wire.Writer
-	w.String(dynRecordTag)
-	w.String(r.Session).String(r.Fingerprint)
-	w.Int(r.N).Int(r.M).Int(r.Delta).Int(r.NumColors)
-	w.Ints(r.Colors)
-	return w.Bytes()
-}
-
-func decodeDynRecord(b []byte) (*MutateResponse, error) {
-	r := wire.NewReader(b)
-	if tag := r.ReadString(); tag != dynRecordTag {
-		return nil, fmt.Errorf("service: dynamic cache record tag %q, want %q", tag, dynRecordTag)
-	}
-	resp := &MutateResponse{}
-	resp.Session, resp.Fingerprint = r.ReadString(), r.ReadString()
-	resp.N, resp.M, resp.Delta, resp.NumColors = r.Int(), r.Int(), r.Int(), r.Int()
-	resp.Colors = r.Ints()
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("service: corrupt dynamic cache record: %w", err)
-	}
-	if resp.Colors == nil {
-		resp.Colors = []int{}
-	}
-	return resp, nil
 }

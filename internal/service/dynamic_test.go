@@ -68,11 +68,10 @@ func TestMutateMaintainsCanonical(t *testing.T) {
 	}
 }
 
-// TestMutateCacheKeyedByFingerprint is the invalidation contract: coloring
-// reads hit the cache until a mutation moves the fingerprint, and a
-// mutation sequence that restores the edge set restores the key — the old
-// entry serves again, byte-identically.
-func TestMutateCacheKeyedByFingerprint(t *testing.T) {
+// TestMutateReadTracksFingerprint: a repeat coloring read returns the same
+// body, a mutation moves the fingerprint, and a mutation sequence that
+// restores the edge set restores the original body byte for byte.
+func TestMutateReadTracksFingerprint(t *testing.T) {
 	s := New(Config{Workers: 2})
 	defer s.Close()
 	mk := func(ops []exp.Mutation, colors bool) (*MutateResponse, Outcome) {
@@ -83,39 +82,62 @@ func TestMutateCacheKeyedByFingerprint(t *testing.T) {
 		}
 		return resp, oc
 	}
-	r1, oc := mk(nil, true)
-	if oc != Miss {
-		t.Fatalf("first read outcome %v, want miss", oc)
-	}
-	r2, oc := mk(nil, true)
-	if oc != Hit {
-		t.Fatalf("repeat read outcome %v, want hit", oc)
-	}
+	r1, _ := mk(nil, true)
+	r2, _ := mk(nil, true)
 	if !reflect.DeepEqual(r1, r2) {
-		t.Fatal("cache hit body differs from fresh body")
+		t.Fatal("repeat read body differs from the first")
 	}
 
-	// Mutate: fingerprint moves, reads miss again.
-	if _, oc = mk([]exp.Mutation{{Op: exp.OpInsert, U: 0, V: 31}}, false); oc != Miss {
+	if _, oc := mk([]exp.Mutation{{Op: exp.OpInsert, U: 0, V: 31}}, false); oc != Miss {
 		t.Fatalf("mutation outcome %v, want miss", oc)
 	}
-	r3, oc := mk(nil, true)
-	if oc != Miss {
-		t.Fatalf("read after mutation outcome %v, want miss (fingerprint moved)", oc)
-	}
+	r3, _ := mk(nil, true)
 	if r3.Fingerprint == r1.Fingerprint {
 		t.Fatal("fingerprint did not move under mutation")
 	}
 
-	// Undo: the edge set — hence the fingerprint, hence the key — returns,
-	// and the original cache entry serves again.
+	// Undo: the edge set, hence the fingerprint and the coloring, returns.
 	mk([]exp.Mutation{{Op: exp.OpDelete, U: 0, V: 31}}, false)
-	r4, oc := mk(nil, true)
-	if oc != Hit {
-		t.Fatalf("read after undo outcome %v, want hit (fingerprint restored)", oc)
-	}
+	r4, _ := mk(nil, true)
 	if !reflect.DeepEqual(r1, r4) {
 		t.Fatal("restored fingerprint served a different body")
+	}
+}
+
+// TestSessionReadsBypassResultCache: coloring reads render the maintainer's
+// snapshot directly. They report miss, count no hit, and leave the result
+// cache's entries, hits and misses as they were.
+func TestSessionReadsBypassResultCache(t *testing.T) {
+	s := New(Config{Workers: 2})
+	defer s.Close()
+	if _, _, err := s.Mutate(MutateRequest{Session: "r", Base: baseSpec()}); err != nil {
+		t.Fatal(err)
+	}
+	before := s.Stats()
+	var outcomes []Outcome
+	for i := 0; i < 5; i++ {
+		if i == 3 {
+			if _, _, err := s.Mutate(MutateRequest{Session: "r", Ops: []exp.Mutation{{Op: exp.OpInsert, U: 0, V: 31}}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_, oc, err := s.Mutate(MutateRequest{Session: "r", Colors: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		outcomes = append(outcomes, oc)
+	}
+	after := s.Stats()
+	if after.Cache != before.Cache {
+		t.Fatalf("session reads moved the result cache: %+v -> %+v", before.Cache, after.Cache)
+	}
+	if after.Hits != before.Hits {
+		t.Fatalf("session reads counted %d hits", after.Hits-before.Hits)
+	}
+	for i, oc := range outcomes {
+		if oc != Miss {
+			t.Fatalf("read %d outcome %v, want miss", i, oc)
+		}
 	}
 }
 

@@ -8,9 +8,9 @@ import (
 	"repro/internal/graph"
 )
 
-// graphEntry is one cached built graph, with the memoized cache keys of the
-// requests made against it. Runs on it are one-shot dist.RunAlgo calls, so
-// the entry holds no per-vertex runtime state between requests.
+// graphEntry is one cached built graph. Runs on it are one-shot
+// dist.RunAlgo calls, so the entry holds no per-vertex runtime state between
+// requests.
 type graphEntry struct {
 	spec exp.GraphSpec
 
@@ -18,57 +18,6 @@ type graphEntry struct {
 	g    *graph.Graph
 	fp   graph.Fingerprint
 	err  error
-
-	keyMu sync.RWMutex // guards keys
-	keys  map[algKey]keyMemo
-}
-
-// algKey is the comparable tuple of output-affecting request parameters —
-// exactly the fields cacheKey hashes besides the graph fingerprint. Two
-// requests with equal algKey against the same graph entry share a cache key,
-// so the sha256 derivation is memoized per entry under it.
-type algKey struct {
-	kind, alg, mode string
-	b, p, c         int
-	seed            int64
-}
-
-type keyMemo struct {
-	key  string
-	hash uint64
-}
-
-// maxKeyMemos bounds the per-entry key memo; an adversarial seed sweep resets
-// it rather than growing without bound. 1024 distinct parameterizations per
-// graph covers every realistic workload.
-const maxKeyMemos = 1024
-
-// cachedKey returns the request's cache key and its shard hash, deriving
-// (sha256 + hex + maphash) at most once per (graph, parameters) pair; repeat
-// requests skip the hashing entirely.
-func (e *graphEntry) cachedKey(ak algKey, req *Request) (string, uint64) {
-	e.keyMu.RLock()
-	m, ok := e.keys[ak]
-	e.keyMu.RUnlock()
-	if ok {
-		return m.key, m.hash
-	}
-	key := cacheKey(req, e.fp)
-	m = keyMemo{key: key, hash: cacheHashString(key)}
-	e.keyMu.Lock()
-	if cur, ok := e.keys[ak]; ok {
-		m = cur
-	} else {
-		if len(e.keys) >= maxKeyMemos {
-			e.keys = nil
-		}
-		if e.keys == nil {
-			e.keys = make(map[algKey]keyMemo, 16)
-		}
-		e.keys[ak] = m
-	}
-	e.keyMu.Unlock()
-	return m.key, m.hash
 }
 
 func (e *graphEntry) build() {

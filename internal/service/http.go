@@ -46,9 +46,10 @@ func readBody(r io.Reader, buf []byte) ([]byte, error) {
 //	                  shape.
 //	POST /v1/mutate — body: a MutateRequest (JSON); response: a
 //	                  MutateResponse (JSON). Mutations apply local repairs;
-//	                  pure coloring reads serve through the result cache
-//	                  keyed by the session's evolving fingerprint. ?detail=1
-//	                  adds the palette-observability fields to the response.
+//	                  pure coloring reads render one atomic snapshot of the
+//	                  session. Neither is cached: X-Colord-Cache is always
+//	                  miss. ?detail=1 adds the palette-observability fields
+//	                  to the response.
 //	GET  /v1/subscribe?session=NAME
 //	                — an SSE stream of the named session's recolor deltas
 //	                  (see subscribe.go for the event contract).

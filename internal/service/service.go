@@ -42,11 +42,10 @@ type Config struct {
 	Workers int
 	// Engine is the default dist scheduler (requests may override).
 	Engine dist.Engine
-	// CacheEntries bounds the result cache (default 4096).
+	// CacheEntries bounds the result cache and, separately, the wire
+	// fast-path cache mapping raw request bytes to prerendered responses
+	// (default 4096 each).
 	CacheEntries int
-	// FastEntries bounds the wire fast-path cache mapping raw request bytes
-	// to prerendered responses (default: CacheEntries).
-	FastEntries int
 	// GraphEntries bounds the built-graph LRU (default 64).
 	GraphEntries int
 	// Sessions bounds the live dynamic graph sessions (default 32); the
@@ -87,9 +86,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CacheEntries <= 0 {
 		c.CacheEntries = 4096
-	}
-	if c.FastEntries <= 0 {
-		c.FastEntries = c.CacheEntries
 	}
 	if c.GraphEntries <= 0 {
 		c.GraphEntries = 64
@@ -223,7 +219,7 @@ func New(cfg Config) *Service {
 	s := &Service{
 		cfg:      cfg,
 		cache:    newResultCache(cfg.CacheEntries),
-		fast:     newFastCache(cfg.FastEntries),
+		fast:     newFastCache(cfg.CacheEntries),
 		graphs:   newGraphCache(cfg.GraphEntries),
 		sessions: newSessionTable(cfg.Sessions),
 		hub:      newSubHub(cfg.MaxSubscribers, cfg.SessionSubscribers, cfg.FeedBuffer),
