@@ -35,12 +35,14 @@ func TestGolden(t *testing.T) {
 // TestEngineFlagPlumbing checks that every -engine value is accepted and
 // yields the exact output of the default engine — the CLI-level face of the
 // runtime's engine-equivalence contract. Under compiled, be (whose plan on
-// this graph has depth 0) and pr run the Panconesi–Rizzi flat pass, and be
-// and pr on the edgeless graph their empty-coloring passes.
+// this graph has depth 0) and pr run the Panconesi–Rizzi flat pass, greedy
+// the greedy flat pass, and be and pr on the edgeless graph their
+// empty-coloring passes.
 func TestEngineFlagPlumbing(t *testing.T) {
 	for _, base := range [][]string{
 		{"-graph", "gnm", "-n", "48", "-m", "144", "-seed", "1", "-alg", "be", "-q"},
 		{"-graph", "regular", "-n", "24", "-deg", "4", "-seed", "2", "-alg", "pr", "-q"},
+		{"-graph", "gnm", "-n", "30", "-m", "60", "-seed", "3", "-alg", "greedy", "-q"},
 		{"-graph", "gnm", "-n", "5", "-m", "0", "-alg", "be", "-q"},
 		{"-graph", "gnm", "-n", "5", "-m", "0", "-alg", "pr", "-q"},
 	} {

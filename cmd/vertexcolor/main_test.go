@@ -18,6 +18,7 @@ func TestGolden(t *testing.T) {
 		{"defective_powercycle", []string{"-graph", "powercycle", "-n", "30", "-k", "5", "-alg", "defective", "-p", "4"}},
 		{"greedy_geometric", []string{"-graph", "geometric", "-n", "40", "-seed", "2", "-alg", "greedy"}},
 		{"tradeoff_fig1", []string{"-graph", "fig1", "-k", "6", "-alg", "tradeoff"}},
+		{"be_edgeless", []string{"-graph", "powercycle", "-n", "10", "-k", "0", "-alg", "be"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -28,19 +29,26 @@ func TestGolden(t *testing.T) {
 }
 
 // TestEngineFlagPlumbing checks -engine acceptance and engine-independence
-// of the output at the CLI level.
+// of the output at the CLI level. Under compiled, legal runs the Legal-Color
+// flat pass, greedy the greedy flat pass, and be on the edgeless graph the
+// 1-coloring pass.
 func TestEngineFlagPlumbing(t *testing.T) {
-	base := []string{"-graph", "powercycle", "-n", "30", "-k", "3", "-alg", "legal"}
-	ref := testutil.CaptureStdout(t, func() error { return run(base) })
-	for _, engine := range []string{"lockstep", "sharded"} {
-		out := testutil.CaptureStdout(t, func() error {
-			return run(append([]string{"-engine", engine}, base...))
-		})
-		if out != ref {
-			t.Fatalf("-engine %s output differs from default:\n%s\nvs\n%s", engine, out, ref)
+	for _, base := range [][]string{
+		{"-graph", "powercycle", "-n", "30", "-k", "3", "-alg", "legal"},
+		{"-graph", "geometric", "-n", "40", "-seed", "2", "-alg", "greedy"},
+		{"-graph", "powercycle", "-n", "10", "-k", "0", "-alg", "be"},
+	} {
+		ref := testutil.CaptureStdout(t, func() error { return run(base) })
+		for _, engine := range []string{"lockstep", "sharded", "compiled"} {
+			out := testutil.CaptureStdout(t, func() error {
+				return run(append([]string{"-engine", engine}, base...))
+			})
+			if out != ref {
+				t.Fatalf("%v -engine %s output differs from default:\n%s\nvs\n%s", base, engine, out, ref)
+			}
 		}
-	}
-	if err := run(append([]string{"-engine", "nope"}, base...)); err == nil {
-		t.Fatal("-engine nope must be rejected")
+		if err := run(append([]string{"-engine", "nope"}, base...)); err == nil {
+			t.Fatal("-engine nope must be rejected")
+		}
 	}
 }

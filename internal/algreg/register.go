@@ -140,23 +140,12 @@ func init() {
 			return nil
 		},
 		BuildVertex: func(g *graph.Graph, p Params) (dist.Algo[int], int, error) {
-			delta := g.MaxDegree()
-			if delta == 0 {
-				// Isolated vertices: the 1-coloring, still a real run so the
-				// accounting pipeline stays uniform.
-				palette := 0
-				if g.N() > 0 {
-					palette = 1
-				}
-				return dist.Algo[int]{Vertex: func(v dist.Process) int { return 1 }, Compiled: oneColor{}}, palette, nil
-			}
-			pl, err := core.AutoPlan(delta, p.C, p.B, p.P, false)
+			algo, pl, err := legalVertexAlgo(g, p, core.StartIDs)
 			if err != nil {
-				return dist.Algo[int]{}, 0, err
+				return algo, 0, err
 			}
-			algo, err := core.LegalColorAlgo(g.N(), delta, pl, core.StartIDs)
-			if err != nil {
-				return dist.Algo[int]{}, 0, err
+			if pl == nil {
+				return algo, min(g.N(), 1), nil
 			}
 			return algo, pl.TotalPalette(), nil
 		},
@@ -254,6 +243,23 @@ func legalEdgeAlgo(g *graph.Graph, p Params) (dist.Algo[[]int], *core.Plan, erro
 	return algo, pl, err
 }
 
+// legalVertexAlgo builds the vertex Legal-Color bundle for g under the plan
+// AutoPlan picks, seeded by mode. An edgeless graph has no plan (AutoPlan
+// needs Δ >= 1): its bundle is the 1-coloring of the isolated vertices,
+// still a real run so the accounting pipeline stays uniform, returned with
+// a nil plan.
+func legalVertexAlgo(g *graph.Graph, p Params, mode core.Mode) (dist.Algo[int], *core.Plan, error) {
+	if g.MaxDegree() == 0 {
+		return dist.Algo[int]{Vertex: func(dist.Process) int { return 1 }, Compiled: oneColor{}}, nil, nil
+	}
+	pl, err := core.AutoPlan(g.MaxDegree(), p.C, p.B, p.P, false)
+	if err != nil {
+		return dist.Algo[int]{}, nil, err
+	}
+	algo, err := core.LegalColorAlgo(g.N(), g.MaxDegree(), pl, mode)
+	return algo, pl, err
+}
+
 // oneColor is the flat pass of the edgeless 1-coloring: no vertex calls
 // Round, so the run spends no rounds.
 type oneColor struct{}
@@ -273,15 +279,19 @@ func (noEdges) RunCompiled(_ *graph.Graph, _ dist.CompiledEnv, _ [][]int) (dist.
 	return dist.Stats{}, nil
 }
 
-// runLegal builds the Legal-Color CLI hook for a start mode: plan note plus
-// the full run.
+// runLegal builds the Legal-Color CLI hook for a start mode: plan note
+// (none on an edgeless graph, which has no plan) plus the full run.
 func runLegal(mode core.Mode) func(*graph.Graph, Params, ...dist.Option) (*dist.Result[int], []string, error) {
 	return func(g *graph.Graph, p Params, opts ...dist.Option) (*dist.Result[int], []string, error) {
-		pl, err := core.AutoPlan(g.MaxDegree(), p.C, p.B, p.P, false)
+		algo, pl, err := legalVertexAlgo(g, p, mode)
 		if err != nil {
 			return nil, nil, err
 		}
-		res, err := core.LegalColoring(g, pl, mode, opts...)
-		return res, []string{fmt.Sprintf("plan:  %v", pl)}, err
+		var notes []string
+		if pl != nil {
+			notes = []string{fmt.Sprintf("plan:  %v", pl)}
+		}
+		res, err := dist.RunAlgo(g, algo, opts...)
+		return res, notes, err
 	}
 }

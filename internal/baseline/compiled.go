@@ -12,10 +12,10 @@ import (
 // Compiled forms of the greedy baselines (dist.CompiledAlgo): the same
 // ID-priority colorings computed as flat passes over the CSR arrays, with
 // Stats reconstructed through dist.Tally so Outputs and Stats stay
-// byte-identical to the per-vertex forms under every engine. These are the
-// service's hot paths — the greedy oracle runs once per cached graph and
-// once per legality check — so they are worth hand-flattening. The other
-// flat passes are Panconesi–Rizzi (panconesi.EdgeColorAlgo), Procedure
+// byte-identical to the per-vertex forms under every engine. The service
+// runs them for requests that ask for greedy, and GreedyVertexColoring and
+// GreedyEdgeColoring reach them under the Compiled engine. The other flat
+// passes are Panconesi–Rizzi (panconesi.EdgeColorAlgo), Procedure
 // Legal-Color (core.LegalColorAlgo) and the dynamic repair; the remaining
 // pipelines carry none and run under the Compiled engine as one-shot
 // Lockstep runs.

@@ -23,9 +23,10 @@ import (
 // GreedyVertexColoring colors vertices with palette {1..Δ+1} by ID priority:
 // every vertex waits until all smaller-ID neighbors are colored, then takes
 // the smallest free color. Its round complexity is the longest increasing-ID
-// path, up to n; it is the classic correctness oracle.
+// path, up to n; it is the classic correctness oracle. Under the Compiled
+// engine it runs GreedyVertexAlgo's flat pass.
 func GreedyVertexColoring(g *graph.Graph, opts ...dist.Option) (*dist.Result[int], error) {
-	return dist.Run(g, GreedyVertexProcess, opts...)
+	return dist.RunAlgo(g, GreedyVertexAlgo(), opts...)
 }
 
 // GreedyVertexProcess is the per-vertex body of GreedyVertexColoring,
@@ -68,9 +69,10 @@ func GreedyVertexProcess(v dist.Process) int {
 // endpoint of an edge decides its color once every higher-priority incident
 // edge (at either endpoint) is colored, taking the smallest color free at
 // both endpoints. The naive baseline with worst-case Θ(n)-round chains.
-// Returns per-port colors (merge with graph.MergePortColors).
+// Returns per-port colors (merge with graph.MergePortColors). Under the
+// Compiled engine it runs GreedyEdgeAlgo's flat pass.
 func GreedyEdgeColoring(g *graph.Graph, opts ...dist.Option) (*dist.Result[[]int], error) {
-	return dist.Run(g, GreedyEdgeProcess, opts...)
+	return dist.RunAlgo(g, GreedyEdgeAlgo(), opts...)
 }
 
 // GreedyEdgeProcess is the per-vertex body of GreedyEdgeColoring, exported

@@ -2,11 +2,55 @@ package service
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/algreg"
 	"repro/internal/dist"
+	"repro/internal/exp"
 	"repro/internal/graph"
 )
+
+// graphEntry is one cached built graph. Runs on it are one-shot
+// dist.RunAlgo calls, so the entry holds no per-vertex runtime state between
+// requests.
+type graphEntry struct {
+	spec exp.GraphSpec
+
+	once sync.Once // builds g, fp
+	g    *graph.Graph
+	fp   graph.Fingerprint
+	err  error
+}
+
+func (e *graphEntry) build() {
+	e.once.Do(func() {
+		e.g, e.err = e.spec.Build()
+		if e.err == nil {
+			e.fp = e.g.Fingerprint()
+		}
+	})
+}
+
+// graphFor returns the graph-cache entry for spec, building the graph on first
+// use. Eviction just drops an entry: runs in flight keep their own reference
+// to the graph.
+func (s *Service) graphFor(spec exp.GraphSpec) (*graphEntry, error) {
+	key := spec.String()
+	h := cacheHashString(key)
+	e, ok := s.graphs.getHash(key, h)
+	if !ok {
+		e = s.graphs.putHash(key, h, &graphEntry{spec: spec}, 0)
+	}
+	e.build()
+	if e.err != nil {
+		// A failed spec must not occupy a slot of the bounded cache: a
+		// stream of distinct garbage specs would otherwise evict every warm
+		// graph. Build is deterministic, so whichever entry holds the key
+		// now fails the same way.
+		s.graphs.remove(key, h)
+	}
+	return e, e.err
+}
 
 // resolve validates a request against its built graph and returns the
 // canonical form: algorithm resolved through the registry (including the
@@ -32,7 +76,7 @@ func (s *Service) resolve(req Request) (*canonReq, error) {
 			return nil, err
 		}
 	}
-	entry, err := s.graphs.get(req.Graph)
+	entry, err := s.graphFor(req.Graph)
 	if err != nil {
 		return nil, err
 	}

@@ -18,20 +18,20 @@ func TestShardedCacheLayoutIndependence(t *testing.T) {
 	for _, shards := range []int{1, 2, 8, 64} {
 		// Capacity ≥ shards × len(keys) guarantees no shard can evict even
 		// if every key landed in one shard: presence is then layout-free.
-		c := newResultCacheShards(shards*len(keys), shards)
+		c := newShardedLRU[[]byte](shards*len(keys), shards)
 		for i, k := range keys {
 			if _, ok := c.get(k); ok {
 				t.Fatalf("shards=%d: %q present before put", shards, k)
 			}
-			c.put(k, newCacheValue(k, []byte(k)))
+			c.putHash(k, cacheHashString(k), []byte(k), len(k))
 			if i%2 == 0 { // interleave repeat lookups with fills
 				for _, earlier := range keys[:i+1] {
 					v, ok := c.get(earlier)
 					if !ok {
 						t.Fatalf("shards=%d: %q missing after put", shards, earlier)
 					}
-					if string(v.rec) != earlier {
-						t.Fatalf("shards=%d: %q returned wrong value %q", shards, earlier, v.rec)
+					if string(v) != earlier {
+						t.Fatalf("shards=%d: %q returned wrong value %q", shards, earlier, v)
 					}
 				}
 			}
@@ -53,13 +53,14 @@ func TestShardedCacheLayoutIndependence(t *testing.T) {
 // existing key keeps and returns the first value, so concurrent fillers of
 // one key converge on a single shared entry.
 func TestShardedCacheFirstWins(t *testing.T) {
-	c := newResultCache(8)
-	a := newCacheValue("k", []byte("first"))
-	b := newCacheValue("k", []byte("second"))
-	if got := c.put("k", a); got != a {
+	c := newShardedLRU[*string](8, 0)
+	a, b := new(string), new(string)
+	*a, *b = "first", "second"
+	h := cacheHashString("k")
+	if got := c.putHash("k", h, a, len(*a)); got != a {
 		t.Fatal("first put must return its own value")
 	}
-	if got := c.put("k", b); got != a {
+	if got := c.putHash("k", h, b, len(*b)); got != a {
 		t.Fatal("second put must return the first value (first-wins)")
 	}
 	if v, _ := c.get("k"); v != a {
@@ -89,7 +90,7 @@ func TestShardedCacheConcurrentEviction(t *testing.T) {
 				if i%5 == 0 {
 					key = fmt.Sprintf("hot-%d", i%7) // contended cross-writer keys
 				}
-				lru.put(key, i, len(key))
+				lru.putHash(key, cacheHashString(key), i, len(key))
 				lru.get(key)
 				if i%97 == 0 {
 					lru.snapshot()
@@ -136,7 +137,7 @@ func TestShardedCacheSnapshotMatchesShards(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		k := fmt.Sprintf("k%02d", i%40)
 		lru.get(k)
-		lru.put(k, k, len(k))
+		lru.putHash(k, cacheHashString(k), k, len(k))
 	}
 	got := lru.snapshot()
 	var want CacheStats
@@ -156,6 +157,24 @@ func TestShardedCacheSnapshotMatchesShards(t *testing.T) {
 	}
 	if got.Hits == 0 || got.Misses == 0 {
 		t.Fatalf("test exercised no hits or no misses: %+v", got)
+	}
+}
+
+// TestShardedCacheRemove pins remove: it frees the key's slot and bytes
+// without counting an eviction, and is a no-op for an absent key.
+func TestShardedCacheRemove(t *testing.T) {
+	lru := newShardedLRU[int](4, 1)
+	for i, k := range []string{"a", "bb", "ccc"} {
+		lru.putHash(k, cacheHashString(k), i, len(k))
+	}
+	lru.remove("bb", cacheHashString("bb"))
+	lru.remove("nope", cacheHashString("nope"))
+	if _, ok := lru.get("bb"); ok {
+		t.Fatal("removed key still present")
+	}
+	st := lru.snapshot()
+	if st.Entries != 2 || st.Bytes != int64(len("a")+len("ccc")) || st.Evictions != 0 {
+		t.Fatalf("after remove: %+v", st)
 	}
 }
 

@@ -135,7 +135,7 @@ func newSessionTable(capacity int) *sessionTable {
 
 // get returns the named session, creating it (and evicting the coldest if
 // the table is full) when base is non-nil. Creation errors are surfaced
-// once and the slot is freed, mirroring graphCache.
+// once and the slot is freed, mirroring the graph cache.
 func (st *sessionTable) get(name string, base *exp.GraphSpec, build func(exp.GraphSpec) (*dynamic.Maintainer, *wal.Log, exp.GraphSpec, int, error)) (*session, error) {
 	st.mu.Lock()
 	el, ok := st.entries[name]

@@ -12,10 +12,10 @@ import (
 // it is the JSON decode, the canonicalization, the sha256 key, and the JSON
 // encode wrapped around a map lookup. Determinism collapses all of it: the
 // response body is a pure function of the request's JSON bytes, so the bytes
-// themselves are a valid cache key. fastCache maps exact raw request bodies
-// to prerendered response bodies; a fast-lane hit is one hash, one striped
-// map lookup, and a Write — zero allocations, no JSON in either direction,
-// no global lock.
+// themselves are a valid cache key. Service.fast maps exact raw request
+// bodies to prerendered response bodies; a fast-lane hit is one hash, one
+// striped map lookup, and a Write — zero allocations, no JSON in either
+// direction, no global lock.
 //
 // The fast cache sits strictly in front of the canonical result cache and
 // is filled only from it (after a full decode/validate/render on the slow
@@ -23,36 +23,14 @@ import (
 // hints — serves the same canonical bytes it would get from the slow lane.
 // Entries never go stale: /v1/color results are immutable (mutable-session
 // reads do not use the fast lane), so eviction is purely a memory bound.
-type fastCache struct {
-	lru *shardedLRU[fastEntry]
-}
 
-// fastEntry is one prerendered response: the body shares its allocation
-// with the result cache's memoized render, and key feeds the X-Colord-Key
-// header without re-deriving it.
+// fastEntry is one prerendered response: body is the slow lane's render of
+// the result-cache record, the only rendered copy the service keeps, and
+// key feeds the X-Colord-Key header without re-deriving it.
 type fastEntry struct {
 	body []byte
 	key  string
 }
-
-func newFastCache(capacity int) *fastCache {
-	return &fastCache{lru: newShardedLRU[fastEntry](capacity, 0)}
-}
-
-// getHash looks raw request bytes up with their precomputed cacheHash;
-// allocation-free on hit and miss.
-func (c *fastCache) getHash(body []byte, h uint64) (fastEntry, bool) {
-	return c.lru.getBytesHash(body, h)
-}
-
-// putHash stores the rendered response for raw request bytes. The string
-// conversion copies the request bytes exactly once, at fill time — the hit
-// path never copies. Accounted size covers both the key copy and the body.
-func (c *fastCache) putHash(body []byte, h uint64, e fastEntry) {
-	c.lru.putHash(string(body), h, e, len(body)+len(e.body))
-}
-
-func (c *fastCache) snapshot() CacheStats { return c.lru.snapshot() }
 
 // counterStripes must be a power of two; 8 stripes is plenty to keep
 // request-plane counter updates from serializing on one cache line at any

@@ -3,6 +3,7 @@ package service
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 
 	"repro/internal/algreg"
@@ -193,6 +194,23 @@ func (rec *record) response(key, graphName string) *Response {
 			Activations:     rec.stats.Activations,
 		},
 	}
+}
+
+// renderBody renders the /v1/color response body of an encoded record for a
+// request naming graphName: exactly the bytes json.Encoder would write for
+// the decoded record's Response (marshal plus trailing newline), so a
+// slow-lane render is byte-identical to a freshly encoded response by
+// construction.
+func renderBody(enc []byte, key, graphName string) ([]byte, error) {
+	rec, err := decodeRecord(enc)
+	if err != nil {
+		return nil, err
+	}
+	j, err := json.Marshal(rec.response(key, graphName))
+	if err != nil {
+		return nil, err
+	}
+	return append(j, '\n'), nil
 }
 
 func (rec *record) detail(key, graphName string) *DetailResponse {

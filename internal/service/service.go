@@ -6,13 +6,13 @@
 // bounded LRU of built graphs, then serves it through four layers:
 //
 //   - a wire fast path: raw request bytes map straight to prerendered
-//     response bytes in a lock-striped LRU (fastCache), so a repeat request
+//     response bytes in a lock-striped LRU (shardedLRU), so a repeat request
 //     is served with zero allocations and no JSON work in either direction;
-//   - a deterministic result cache keyed by a canonical hash of the graph
-//     fingerprint and the output-affecting parameters — the runtime is
-//     deterministic, so a key has exactly one possible value, and a hit
-//     costs zero runtime rounds (and, with the response body memoized on
-//     the entry, zero encoding work);
+//   - a deterministic result cache of encoded records keyed by a canonical
+//     hash of the graph fingerprint and the output-affecting parameters —
+//     the runtime is deterministic, so a key has exactly one possible
+//     record, and a hit costs zero runtime rounds (the slow lane renders
+//     the response body from the record once per request);
 //   - single-flight: concurrent misses for the same key coalesce onto one
 //     execution, which runs on the first caller's own goroutine;
 //   - a bounded worker stage: at most Workers executions run at once, each
@@ -120,10 +120,11 @@ const (
 )
 
 // flight is one in-flight execution of a key, run by the request that missed
-// first. Coalesced requests wait on done, then read val or err.
+// first. Coalesced requests wait on done, then read the encoded record enc
+// or err.
 type flight struct {
 	done chan struct{}
-	val  *cacheValue
+	enc  []byte
 	err  error
 }
 
@@ -185,10 +186,18 @@ type AlgStats struct {
 // Service is the coloring service. Create with New, serve with Handle or
 // HandleRaw (or the HTTP handler from Handler), stop with Close.
 type Service struct {
-	cfg      Config
-	cache    *resultCache
-	fast     *fastCache
-	graphs   *graphCache
+	cfg Config
+	// cache is the result cache: canonical key → encoded record.
+	// Determinism makes it trivially coherent: a key has exactly one
+	// possible record, so eviction is purely a capacity matter, and
+	// concurrent fills of one key converge (first-wins) on a single entry.
+	cache *shardedLRU[[]byte]
+	// fast is the wire fast path (fastpath.go): raw request bytes →
+	// rendered response.
+	fast *shardedLRU[fastEntry]
+	// graphs holds the built graphs by canonical spec string, on one shard:
+	// a strict LRU over GraphEntries.
+	graphs   *shardedLRU[*graphEntry]
 	sessions *sessionTable
 	hub      *subHub
 	sem      chan struct{}
@@ -218,9 +227,9 @@ func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
 	s := &Service{
 		cfg:      cfg,
-		cache:    newResultCache(cfg.CacheEntries),
-		fast:     newFastCache(cfg.CacheEntries),
-		graphs:   newGraphCache(cfg.GraphEntries),
+		cache:    newShardedLRU[[]byte](cfg.CacheEntries, 0),
+		fast:     newShardedLRU[fastEntry](cfg.CacheEntries, 0),
+		graphs:   newShardedLRU[*graphEntry](cfg.GraphEntries, 1),
 		sessions: newSessionTable(cfg.Sessions),
 		hub:      newSubHub(cfg.MaxSubscribers, cfg.SessionSubscribers, cfg.FeedBuffer),
 		sem:      make(chan struct{}, cfg.Workers),
@@ -269,11 +278,11 @@ func (e *badRequestError) Unwrap() error { return e.err }
 // execution, then a fresh execution on the calling goroutine. Safe for
 // arbitrary concurrency.
 func (s *Service) Handle(req Request) (*Response, Outcome, error) {
-	c, v, outcome, err := s.handleCore(req)
+	c, enc, outcome, err := s.handleCore(req)
 	if err != nil {
 		return nil, "", err
 	}
-	rec, err := decodeRecord(v.rec)
+	rec, err := decodeRecord(enc)
 	if err != nil {
 		s.counters.stripe(c.hash).errors.Add(1)
 		return nil, "", err
@@ -287,11 +296,11 @@ func (s *Service) Handle(req Request) (*Response, Outcome, error) {
 // share the result cache with plain ones (the envelope is a render choice,
 // not a different computation) but bypass the wire fast path.
 func (s *Service) HandleDetail(req Request) (*DetailResponse, Outcome, error) {
-	c, v, outcome, err := s.handleCore(req)
+	c, enc, outcome, err := s.handleCore(req)
 	if err != nil {
 		return nil, "", err
 	}
-	rec, err := decodeRecord(v.rec)
+	rec, err := decodeRecord(enc)
 	if err != nil {
 		s.counters.stripe(c.hash).errors.Add(1)
 		return nil, "", err
@@ -303,12 +312,12 @@ func (s *Service) HandleDetail(req Request) (*DetailResponse, Outcome, error) {
 // body is a wire fast-path hit: one hash, one striped lookup, and the
 // prerendered response bytes back — zero allocations, no JSON decoded or
 // encoded, no global lock. First sightings take the slow lane (full decode,
-// canonical cache, render) and prime the fast path on the way out. The
-// returned body is exactly what the HTTP layer writes (json.Encoder form,
-// trailing newline included) and must be treated as read-only.
+// canonical cache, render of the record) and prime the fast path on the way
+// out. The returned body is exactly what the HTTP layer writes (json.Encoder
+// form, trailing newline included) and must be treated as read-only.
 func (s *Service) HandleRaw(body []byte) (resp []byte, key string, outcome Outcome, err error) {
 	h := cacheHash(body)
-	if e, ok := s.fast.getHash(body, h); ok {
+	if e, ok := s.fast.getBytesHash(body, h); ok {
 		ctr := s.counters.stripe(h)
 		ctr.requests.Add(1)
 		ctr.hits.Add(1)
@@ -321,23 +330,27 @@ func (s *Service) HandleRaw(body []byte) (resp []byte, key string, outcome Outco
 		s.counters.stripe(h).badRequests.Add(1)
 		return nil, "", "", &badRequestError{err}
 	}
-	c, v, outcome, err := s.handleCore(req)
+	c, enc, outcome, err := s.handleCore(req)
 	if err != nil {
 		return nil, "", "", err
 	}
-	b, err := v.bodyFor(c.req.Graph.String())
+	b, err := renderBody(enc, c.key, c.req.Graph.String())
 	if err != nil {
 		s.counters.stripe(c.hash).errors.Add(1)
 		return nil, "", "", err
 	}
-	s.fast.putHash(body, h, fastEntry{body: b, key: c.key})
+	// string(body) copies the request bytes exactly once, at fill time — the
+	// hit path never copies. The accounted size covers the key copy and the
+	// body.
+	s.fast.putHash(string(body), h, fastEntry{body: b, key: c.key}, len(body)+len(b))
 	return b, c.key, outcome, nil
 }
 
 // handleCore is the shared request path behind Handle and HandleRaw:
 // resolve, result-cache lookup, then single-flight execution on the calling
-// goroutine. It owns all counter accounting for the request.
-func (s *Service) handleCore(req Request) (*canonReq, *cacheValue, Outcome, error) {
+// goroutine. It owns all counter accounting for the request, and returns
+// the key's encoded record.
+func (s *Service) handleCore(req Request) (*canonReq, []byte, Outcome, error) {
 	c, err := s.resolve(req)
 	if err != nil {
 		ctr := &s.counters.stripes[0]
@@ -348,9 +361,9 @@ func (s *Service) handleCore(req Request) (*canonReq, *cacheValue, Outcome, erro
 	ctr := s.counters.stripe(c.hash)
 	ctr.requests.Add(1)
 	ctr.algRequests[c.alg.ServeIndex()].Add(1)
-	if v, ok := s.cache.getHash(c.key, c.hash); ok {
+	if enc, ok := s.cache.getHash(c.key, c.hash); ok {
 		ctr.hits.Add(1)
-		return c, v, Hit, nil
+		return c, enc, Hit, nil
 	}
 
 	outcome := Coalesced
@@ -378,7 +391,7 @@ func (s *Service) handleCore(req Request) (*canonReq, *cacheValue, Outcome, erro
 		ctr.errors.Add(1)
 		return nil, nil, "", f.err
 	}
-	return c, f.val, outcome, nil
+	return c, f.enc, outcome, nil
 }
 
 // errAbandoned is what coalesced waiters see if their leader's execution
@@ -397,14 +410,12 @@ func (s *Service) lead(c *canonReq, f *flight) {
 		close(f.done)
 		s.running.Done()
 	}()
-	f.val, f.err = s.exec(c)
+	f.enc, f.err = s.exec(c)
 }
 
 // exec computes one key on the bounded worker stage: a cache recheck, then a
-// peer fill, then a local run. It renders the entry's response body eagerly,
-// so by the time coalesced waiters wake the entry already carries the bytes
-// the HTTP layer writes.
-func (s *Service) exec(c *canonReq) (*cacheValue, error) {
+// peer fill, then a local run. It returns the key's encoded record.
+func (s *Service) exec(c *canonReq) ([]byte, error) {
 	select {
 	case s.sem <- struct{}{}:
 	case <-s.stop:
@@ -414,7 +425,7 @@ func (s *Service) exec(c *canonReq) (*cacheValue, error) {
 	// A flight for this key may have completed and cached between our
 	// cache miss and this execution; determinism makes recomputing merely
 	// wasteful, so look once more before running.
-	v, ok := s.cache.getHash(c.key, c.hash)
+	enc, ok := s.cache.getHash(c.key, c.hash)
 	if !ok && s.cfg.RemoteFill != nil {
 		// Cross-node fill: a miss here may be a hit in the key's rendezvous
 		// owner's cache. Determinism makes a fetched record as good as a
@@ -425,7 +436,7 @@ func (s *Service) exec(c *canonReq) (*cacheValue, error) {
 			if rec, err := decodeRecord(raw); err == nil {
 				s.counters.stripe(c.hash).filled.Add(1)
 				s.observePalette(c, rec)
-				v = s.cache.putHash(c.key, c.hash, newCacheValue(c.key, raw))
+				enc = s.cache.putHash(c.key, c.hash, raw, len(raw))
 				ok = true
 			}
 		}
@@ -437,12 +448,10 @@ func (s *Service) exec(c *canonReq) (*cacheValue, error) {
 			return nil, err
 		}
 		s.observePalette(c, rec)
-		v = s.cache.putHash(c.key, c.hash, newCacheValue(c.key, rec.encode()))
+		enc = rec.encode()
+		enc = s.cache.putHash(c.key, c.hash, enc, len(enc))
 	}
-	if _, err := v.bodyFor(c.req.Graph.String()); err != nil {
-		return nil, err
-	}
-	return v, nil
+	return enc, nil
 }
 
 // observePalette stores a record's measured palette figures into the
@@ -458,11 +467,7 @@ func (s *Service) observePalette(c *canonReq, rec *record) {
 // (GET /internal/record): a peer asking "do you already have this?" must
 // not be able to make this node do work.
 func (s *Service) CachedRecord(key string) ([]byte, bool) {
-	v, ok := s.cache.get(key)
-	if !ok {
-		return nil, false
-	}
-	return v.rec, true
+	return s.cache.get(key)
 }
 
 // Stats snapshots the service counters, caches, sessions, and per-algorithm

@@ -197,6 +197,62 @@ func TestAliasedSpecsShareCacheButKeepTheirName(t *testing.T) {
 	}
 }
 
+// TestRawAliasedSpellingsShareCache drives the raw slow lane: two
+// spellings of one request (fields reordered, extra whitespace) and an
+// aliased spec that builds a fingerprint-identical graph. Each follow-up
+// misses the fast lane, hits the result cache without a new run, and renders
+// the first body byte for byte — apart from the alias echoing its own graph
+// name. A repeat of each spelling is then a fast-lane hit with the same
+// bytes.
+func TestRawAliasedSpellingsShareCache(t *testing.T) {
+	s := New(testConfig())
+	defer s.Close()
+	first := []byte(`{"kind":"vertex","alg":"greedy","graph":{"family":"path","n":6}}`)
+	want, key, outcome, err := s.HandleRaw(first)
+	if err != nil || outcome != Miss {
+		t.Fatalf("first request: outcome %q err %v, want miss", outcome, err)
+	}
+	if !bytes.Contains(want, []byte(`"graph":"path(n=6)"`)) {
+		t.Fatalf("first body does not name path(n=6): %s", want)
+	}
+	type spelling struct {
+		raw  string
+		body []byte
+	}
+	spellings := []spelling{
+		{raw: ` { "graph" : { "n" : 6, "family" : "path" },
+			"alg" : "greedy", "kind" : "vertex" } `, body: want},
+		{raw: `{"kind":"vertex","alg":"greedy","graph":{"family":"grid","n":6,"m":1}}`,
+			body: bytes.Replace(want, []byte(`"graph":"path(n=6)"`), []byte(`"graph":"grid(w=6,h=1)"`), 1)},
+	}
+	runs := s.Stats().Runs
+	for _, sp := range spellings {
+		got, k, outcome, err := s.HandleRaw([]byte(sp.raw))
+		if err != nil || outcome != Hit {
+			t.Fatalf("%s: outcome %q err %v, want hit", sp.raw, outcome, err)
+		}
+		if k != key {
+			t.Fatalf("%s: key %s, want %s", sp.raw, k, key)
+		}
+		if !bytes.Equal(got, sp.body) {
+			t.Fatalf("%s: body\n%s\nwant\n%s", sp.raw, got, sp.body)
+		}
+	}
+	if got := s.Stats().Runs; got != runs {
+		t.Fatalf("follow-ups ran %d times, want 0", got-runs)
+	}
+	fastHits := s.Stats().Fast.Hits
+	for _, sp := range append(spellings, spelling{string(first), want}) {
+		got, _, outcome, err := s.HandleRaw([]byte(sp.raw))
+		if err != nil || outcome != Hit || !bytes.Equal(got, sp.body) {
+			t.Fatalf("%s: fast-lane repeat outcome %q err %v, body\n%s", sp.raw, outcome, err, got)
+		}
+	}
+	if got := s.Stats().Fast.Hits - fastHits; got != 3 {
+		t.Fatalf("repeats made %d fast-lane hits, want 3", got)
+	}
+}
+
 // TestFailedSpecsDoNotEvict: distinct invalid specs must not consume
 // graph-cache capacity and push out warm graphs.
 func TestFailedSpecsDoNotEvict(t *testing.T) {
@@ -221,11 +277,14 @@ func TestFailedSpecsDoNotEvict(t *testing.T) {
 
 // cachedGraphs lists the specs in s's graph cache, sorted.
 func cachedGraphs(s *Service) []string {
-	s.graphs.mu.Lock()
-	defer s.graphs.mu.Unlock()
-	out := make([]string, 0, len(s.graphs.entries))
-	for spec := range s.graphs.entries {
-		out = append(out, spec)
+	var out []string
+	for i := range s.graphs.shards {
+		sh := &s.graphs.shards[i]
+		sh.mu.Lock()
+		for spec := range sh.entries {
+			out = append(out, spec)
+		}
+		sh.mu.Unlock()
 	}
 	sort.Strings(out)
 	return out
@@ -253,13 +312,14 @@ func TestGraphCacheEviction(t *testing.T) {
 }
 
 func TestResultCacheEviction(t *testing.T) {
-	c := newResultCache(2) // capacity 2 ⇒ shardsFor gives 1 shard ⇒ strict LRU
-	c.put("a", newCacheValue("a", []byte("1")))
-	c.put("b", newCacheValue("b", []byte("22")))
+	c := newShardedLRU[[]byte](2, 0) // capacity 2 ⇒ shardsFor gives 1 shard ⇒ strict LRU
+	put := func(k, v string) { c.putHash(k, cacheHashString(k), []byte(v), len(v)) }
+	put("a", "1")
+	put("b", "22")
 	if _, ok := c.get("a"); !ok {
 		t.Fatal("a missing")
 	}
-	c.put("c", newCacheValue("c", []byte("333"))) // evicts b (LRU)
+	put("c", "333") // evicts b (LRU)
 	if _, ok := c.get("b"); ok {
 		t.Fatal("b should have been evicted")
 	}

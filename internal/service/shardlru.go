@@ -23,8 +23,8 @@ type CacheStats struct {
 // part of any persisted or wire-visible state.
 var lruSeed = maphash.MakeSeed()
 
-// cacheHash is the one hash both caches (and the counter stripes) derive
-// their placement from, so a request path computes it once and reuses it.
+// cacheHash is the one hash every cache (and the counter stripes) derives
+// its placement from, so a request path computes it once and reuses it.
 func cacheHash(key []byte) uint64 { return maphash.Bytes(lruSeed, key) }
 
 // cacheHashString is cacheHash for keys already held as strings.
@@ -167,9 +167,17 @@ func (c *shardedLRU[V]) putHash(key string, h uint64, val V, size int) V {
 	return val
 }
 
-// put stores val under key, hashing it here.
-func (c *shardedLRU[V]) put(key string, val V, size int) V {
-	return c.putHash(key, cacheHashString(key), val, size)
+// remove drops key's entry, if present. A removal is not an eviction: it
+// frees the slot without counting against the cache.
+func (c *shardedLRU[V]) remove(key string, h uint64) {
+	sh := &c.shards[h&c.mask]
+	sh.mu.Lock()
+	if el, ok := sh.entries[key]; ok {
+		sh.order.Remove(el)
+		delete(sh.entries, key)
+		sh.bytes.Add(-int64(el.Value.(*lruEntry[V]).size))
+	}
+	sh.mu.Unlock()
 }
 
 // snapshot aggregates the per-shard stats. Each shard is read coherently
