@@ -23,6 +23,7 @@ func TestGolden(t *testing.T) {
 		{"fig1", []string{"-graph", "fig1", "-deg", "6", "-alg", "be", "-q"}},
 		{"be_edgeless", []string{"-graph", "gnm", "-n", "5", "-m", "0", "-alg", "be"}},
 		{"pr_edgeless", []string{"-graph", "gnm", "-n", "5", "-m", "0", "-alg", "pr"}},
+		{"tradeoff_edgeless", []string{"-graph", "gnm", "-n", "5", "-m", "0", "-alg", "tradeoff"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -36,7 +37,7 @@ func TestGolden(t *testing.T) {
 // yields the exact output of the default engine — the CLI-level face of the
 // runtime's engine-equivalence contract. Under compiled, be (whose plan on
 // this graph has depth 0) and pr run the Panconesi–Rizzi flat pass, greedy
-// the greedy flat pass, and be and pr on the edgeless graph their
+// the greedy flat pass, and be, pr and tradeoff on the edgeless graph their
 // empty-coloring passes.
 func TestEngineFlagPlumbing(t *testing.T) {
 	for _, base := range [][]string{
@@ -45,6 +46,7 @@ func TestEngineFlagPlumbing(t *testing.T) {
 		{"-graph", "gnm", "-n", "30", "-m", "60", "-seed", "3", "-alg", "greedy", "-q"},
 		{"-graph", "gnm", "-n", "5", "-m", "0", "-alg", "be", "-q"},
 		{"-graph", "gnm", "-n", "5", "-m", "0", "-alg", "pr", "-q"},
+		{"-graph", "gnm", "-n", "5", "-m", "0", "-alg", "tradeoff", "-q"},
 	} {
 		ref := testutil.CaptureStdout(t, func() error { return run(base) })
 		for _, engine := range []string{"lockstep", "sharded", "compiled"} {

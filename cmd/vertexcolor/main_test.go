@@ -19,6 +19,8 @@ func TestGolden(t *testing.T) {
 		{"greedy_geometric", []string{"-graph", "geometric", "-n", "40", "-seed", "2", "-alg", "greedy"}},
 		{"tradeoff_fig1", []string{"-graph", "fig1", "-k", "6", "-alg", "tradeoff"}},
 		{"be_edgeless", []string{"-graph", "powercycle", "-n", "10", "-k", "0", "-alg", "be"}},
+		{"tradeoff_edgeless", []string{"-graph", "powercycle", "-n", "10", "-k", "0", "-alg", "tradeoff"}},
+		{"defective_edgeless", []string{"-graph", "powercycle", "-n", "10", "-k", "0", "-alg", "defective"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -30,13 +32,15 @@ func TestGolden(t *testing.T) {
 
 // TestEngineFlagPlumbing checks -engine acceptance and engine-independence
 // of the output at the CLI level. Under compiled, legal runs the Legal-Color
-// flat pass, greedy the greedy flat pass, and be on the edgeless graph the
-// 1-coloring pass.
+// flat pass, greedy the greedy flat pass, and be, tradeoff and defective on
+// the edgeless graph the 1-coloring pass.
 func TestEngineFlagPlumbing(t *testing.T) {
 	for _, base := range [][]string{
 		{"-graph", "powercycle", "-n", "30", "-k", "3", "-alg", "legal"},
 		{"-graph", "geometric", "-n", "40", "-seed", "2", "-alg", "greedy"},
 		{"-graph", "powercycle", "-n", "10", "-k", "0", "-alg", "be"},
+		{"-graph", "powercycle", "-n", "10", "-k", "0", "-alg", "tradeoff"},
+		{"-graph", "powercycle", "-n", "10", "-k", "0", "-alg", "defective"},
 	} {
 		ref := testutil.CaptureStdout(t, func() error { return run(base) })
 		for _, engine := range []string{"lockstep", "sharded", "compiled"} {

@@ -115,6 +115,10 @@ func init() {
 	Register(Algorithm{
 		Kind: "edge", Name: "tradeoff",
 		RunEdge: func(g *graph.Graph, p Params, opts ...dist.Option) (*dist.Result[[]int], []string, error) {
+			if g.MaxDegree() == 0 {
+				res, err := dist.RunAlgo(g, noEdgesAlgo, opts...)
+				return res, nil, err
+			}
 			res, err := edgecolor.TradeoffEdgeColoring(g, p.B, p.P, g.MaxDegree()/2, msgMode(p.Mode), opts...)
 			return res, nil, err
 		},
@@ -168,7 +172,13 @@ func init() {
 	Register(Algorithm{
 		Kind: "vertex", Name: "defective", NoFooter: true,
 		RunVertex: func(g *graph.Graph, p Params, opts ...dist.Option) (*dist.Result[int], []string, error) {
-			res, err := core.DefectiveColoring(g, p.C, p.B, p.P, opts...)
+			var res *dist.Result[int]
+			var err error
+			if g.MaxDegree() == 0 {
+				res, err = dist.RunAlgo(g, oneColorAlgo, opts...)
+			} else {
+				res, err = core.DefectiveColoring(g, p.C, p.B, p.P, opts...)
+			}
 			if err != nil {
 				return nil, nil, err
 			}
@@ -186,6 +196,10 @@ func init() {
 	Register(Algorithm{
 		Kind: "vertex", Name: "tradeoff",
 		RunVertex: func(g *graph.Graph, p Params, opts ...dist.Option) (*dist.Result[int], []string, error) {
+			if g.MaxDegree() == 0 {
+				res, err := dist.RunAlgo(g, oneColorAlgo, opts...)
+				return res, nil, err
+			}
 			classDeg := g.MaxDegree() / 2
 			if classDeg < 2 {
 				classDeg = g.MaxDegree()
@@ -233,7 +247,7 @@ func edgePalette(delta int) int {
 // empty coloring, returned with a nil plan.
 func legalEdgeAlgo(g *graph.Graph, p Params) (dist.Algo[[]int], *core.Plan, error) {
 	if g.MaxDegree() == 0 {
-		return dist.Algo[[]int]{Vertex: func(dist.Process) []int { return nil }, Compiled: noEdges{}}, nil, nil
+		return noEdgesAlgo, nil, nil
 	}
 	pl, err := core.AutoPlan(g.MaxDegree(), 2, p.B, p.P, true)
 	if err != nil {
@@ -250,7 +264,7 @@ func legalEdgeAlgo(g *graph.Graph, p Params) (dist.Algo[[]int], *core.Plan, erro
 // a nil plan.
 func legalVertexAlgo(g *graph.Graph, p Params, mode core.Mode) (dist.Algo[int], *core.Plan, error) {
 	if g.MaxDegree() == 0 {
-		return dist.Algo[int]{Vertex: func(dist.Process) int { return 1 }, Compiled: oneColor{}}, nil, nil
+		return oneColorAlgo, nil, nil
 	}
 	pl, err := core.AutoPlan(g.MaxDegree(), p.C, p.B, p.P, false)
 	if err != nil {
@@ -259,6 +273,15 @@ func legalVertexAlgo(g *graph.Graph, p Params, mode core.Mode) (dist.Algo[int], 
 	algo, err := core.LegalColorAlgo(g.N(), g.MaxDegree(), pl, mode)
 	return algo, pl, err
 }
+
+// oneColorAlgo is the 1-coloring of an edgeless graph's isolated vertices
+// and noEdgesAlgo its empty edge coloring. The Legal-Color, tradeoff and
+// defective hooks answer Δ=0 with them: no vertex calls Round, so the run
+// spends no rounds.
+var (
+	oneColorAlgo = dist.Algo[int]{Vertex: func(dist.Process) int { return 1 }, Compiled: oneColor{}}
+	noEdgesAlgo  = dist.Algo[[]int]{Vertex: func(dist.Process) []int { return nil }, Compiled: noEdges{}}
+)
 
 // oneColor is the flat pass of the edgeless 1-coloring: no vertex calls
 // Round, so the run spends no rounds.

@@ -6,6 +6,54 @@ import (
 	"testing"
 )
 
+// liveSlots walks sh's recency list from most to least recently used under
+// the shard lock and returns its entries, failing t unless the slab is
+// consistent: links agree both ways, every listed slot is the one its key
+// maps to, the list holds exactly the map's keys, free and live slots
+// together fill the slab, and the slab stays within the shard's capacity.
+func liveSlots[V any](t *testing.T, sh *lruShard[V]) []lruSlot[V] {
+	t.Helper()
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	var live []lruSlot[V]
+	prev := int32(noSlot)
+	for i := sh.head; i != noSlot; i = sh.slots[i].next {
+		s := sh.slots[i]
+		if s.prev != prev {
+			t.Fatalf("slot %d: prev %d, want %d", i, s.prev, prev)
+		}
+		if j, ok := sh.entries[s.key]; !ok || j != i {
+			t.Fatalf("slot %d holds %q, which maps to slot %d (present %v)", i, s.key, j, ok)
+		}
+		if live = append(live, s); len(live) > len(sh.slots) {
+			t.Fatal("recency list has a cycle")
+		}
+		prev = i
+	}
+	if sh.tail != prev {
+		t.Fatalf("tail %d, list ends at %d", sh.tail, prev)
+	}
+	if len(live) != len(sh.entries) {
+		t.Fatalf("recency list holds %d slots, map %d keys", len(live), len(sh.entries))
+	}
+	free := 0
+	for i := sh.free; i != noSlot; i = sh.slots[i].next {
+		if sh.slots[i].key != "" || sh.slots[i].size != 0 {
+			t.Fatalf("free slot %d not zeroed: key %q size %d", i, sh.slots[i].key, sh.slots[i].size)
+		}
+		if free++; free > len(sh.slots) {
+			t.Fatal("free chain has a cycle")
+		}
+	}
+	if len(live)+free != len(sh.slots) {
+		t.Fatalf("%d live + %d free slots, slab holds %d", len(live), free, len(sh.slots))
+	}
+	if cap(sh.slots) > int(sh.cap) {
+		t.Fatalf("slab capacity %d over the shard's cap %d", cap(sh.slots), sh.cap)
+	}
+	return live
+}
+
 // TestShardedCacheLayoutIndependence pins the determinism property of the
 // striped LRU: hit/miss behavior for a working set within capacity is a
 // function of the keys alone, not of the shard layout. The same key sequence
@@ -107,23 +155,16 @@ func TestShardedCacheConcurrentEviction(t *testing.T) {
 	// The per-shard LRU bound: no shard may exceed its capacity slice.
 	per := (capacity + shards - 1) / shards
 	for i := range lru.shards {
-		sh := &lru.shards[i]
-		sh.mu.Lock()
-		n := sh.order.Len()
-		sh.mu.Unlock()
-		if n > per {
+		if n := len(liveSlots(t, &lru.shards[i])); n > per {
 			t.Fatalf("shard %d holds %d entries, per-shard cap %d", i, n, per)
 		}
 	}
 	// Quiescent bytes must equal the sum over surviving entries.
 	var want int64
 	for i := range lru.shards {
-		sh := &lru.shards[i]
-		sh.mu.Lock()
-		for el := sh.order.Front(); el != nil; el = el.Next() {
-			want += int64(el.Value.(*lruEntry[int]).size)
+		for _, s := range liveSlots(t, &lru.shards[i]) {
+			want += int64(s.size)
 		}
-		sh.mu.Unlock()
 	}
 	if st.Bytes != want {
 		t.Fatalf("accounted bytes %d, surviving entries sum to %d", st.Bytes, want)
@@ -144,9 +185,7 @@ func TestShardedCacheSnapshotMatchesShards(t *testing.T) {
 	want.Shards = len(lru.shards)
 	for i := range lru.shards {
 		sh := &lru.shards[i]
-		sh.mu.Lock()
-		want.Entries += sh.order.Len()
-		sh.mu.Unlock()
+		want.Entries += len(liveSlots(t, sh))
 		want.Hits += sh.hits.Load()
 		want.Misses += sh.misses.Load()
 		want.Evictions += sh.evictions.Load()
@@ -175,6 +214,11 @@ func TestShardedCacheRemove(t *testing.T) {
 	st := lru.snapshot()
 	if st.Entries != 2 || st.Bytes != int64(len("a")+len("ccc")) || st.Evictions != 0 {
 		t.Fatalf("after remove: %+v", st)
+	}
+	// The next put takes the vacated slot instead of growing the slab.
+	lru.putHash("dddd", cacheHashString("dddd"), 3, len("dddd"))
+	if live, slab := len(liveSlots(t, &lru.shards[0])), len(lru.shards[0].slots); live != 3 || slab != 3 {
+		t.Fatalf("after put into the vacated slot: %d live entries in a slab of %d, want 3 in 3", live, slab)
 	}
 }
 

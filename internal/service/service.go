@@ -44,9 +44,11 @@ type Config struct {
 	Engine dist.Engine
 	// CacheEntries bounds the result cache and, separately, the wire
 	// fast-path cache mapping raw request bytes to prerendered responses
-	// (default 4096 each).
+	// (default 4096 each). A bound only: each cache's memory grows with the
+	// entries it holds.
 	CacheEntries int
-	// GraphEntries bounds the built-graph LRU (default 64).
+	// GraphEntries bounds the built-graph LRU (default 64); like
+	// CacheEntries, a bound, not a reservation.
 	GraphEntries int
 	// Sessions bounds the live dynamic graph sessions (default 32); the
 	// coldest session is evicted — state and all — when the table is full.

@@ -15,7 +15,9 @@
 # price every servable algorithm on its small-mix graph the way a service
 # miss runs it, flat pass or one-shot scheduler run. The internal/service
 # rows (BenchmarkHitPath, BenchmarkHitPathParallel) price the serving fast
-# path alone, in-process: hash, striped lookup, counters, zero allocations.
+# path alone, in-process: hash, striped lookup, counters, zero allocations;
+# BenchmarkCacheFill prices an evicting miss fill of the striped LRU, and
+# BenchmarkServiceNew what an idle service costs.
 #
 # Usage:
 #   scripts/bench.sh                 # full run, writes BENCH_runtime.json
