@@ -9,7 +9,7 @@ FUZZTIME ?= 10s
 
 .PHONY: build test race vet fmt cover loc bench bench-smoke \
 	bench-runtime-check bench-cluster-smoke fuzz-smoke fuzz-builder fuzz-wire-roundtrip fuzz-wire-reader \
-	fuzz-dist-compiled fuzz-dynamic-compiled fuzz-wal
+	fuzz-dist-compiled fuzz-dynamic-compiled fuzz-wal fuzz-overlay
 
 build:
 	$(GO) build ./...
@@ -71,9 +71,13 @@ fuzz-dynamic-compiled:
 	$(GO) test -fuzz FuzzRepairCompiledAgree -fuzztime $(FUZZTIME) -run '^$$' ./internal/dynamic/
 fuzz-wal:
 	$(GO) test -fuzz FuzzWALReplay -fuzztime $(FUZZTIME) -run '^$$' ./internal/wal/
+# Op streams are long byte strings, so minimizing each new input is capped
+# at 100 runs; otherwise minimization, not exploration, takes the time.
+fuzz-overlay:
+	$(GO) test -fuzz FuzzOverlayMirror -fuzztime $(FUZZTIME) -fuzzminimizetime 100x -run '^$$' ./internal/graph/
 
 # Short fuzz pass over all targets.
-fuzz-smoke: fuzz-builder fuzz-wire-roundtrip fuzz-wire-reader fuzz-dist-compiled fuzz-dynamic-compiled fuzz-wal
+fuzz-smoke: fuzz-builder fuzz-wire-roundtrip fuzz-wire-reader fuzz-dist-compiled fuzz-dynamic-compiled fuzz-wal fuzz-overlay
 
 # Real-binary 3-node cluster smoke: colord x3 + colorgate over loopback,
 # byte-stability, full-cluster SIGKILL recovery, and a loadgen pass through

@@ -21,6 +21,7 @@ func TestGolden(t *testing.T) {
 		{"be_edgeless", []string{"-graph", "powercycle", "-n", "10", "-k", "0", "-alg", "be"}},
 		{"tradeoff_edgeless", []string{"-graph", "powercycle", "-n", "10", "-k", "0", "-alg", "tradeoff"}},
 		{"defective_edgeless", []string{"-graph", "powercycle", "-n", "10", "-k", "0", "-alg", "defective"}},
+		{"greedy_edgeless", []string{"-graph", "powercycle", "-n", "10", "-k", "0", "-alg", "greedy"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -32,8 +33,8 @@ func TestGolden(t *testing.T) {
 
 // TestEngineFlagPlumbing checks -engine acceptance and engine-independence
 // of the output at the CLI level. Under compiled, legal runs the Legal-Color
-// flat pass, greedy the greedy flat pass, and be, tradeoff and defective on
-// the edgeless graph the 1-coloring pass.
+// flat pass, greedy the greedy flat pass, and be, tradeoff, defective and
+// greedy on the edgeless graph the 1-coloring pass.
 func TestEngineFlagPlumbing(t *testing.T) {
 	for _, base := range [][]string{
 		{"-graph", "powercycle", "-n", "30", "-k", "3", "-alg", "legal"},
@@ -41,6 +42,7 @@ func TestEngineFlagPlumbing(t *testing.T) {
 		{"-graph", "powercycle", "-n", "10", "-k", "0", "-alg", "be"},
 		{"-graph", "powercycle", "-n", "10", "-k", "0", "-alg", "tradeoff"},
 		{"-graph", "powercycle", "-n", "10", "-k", "0", "-alg", "defective"},
+		{"-graph", "powercycle", "-n", "10", "-k", "0", "-alg", "greedy"},
 	} {
 		ref := testutil.CaptureStdout(t, func() error { return run(base) })
 		for _, engine := range []string{"lockstep", "sharded", "compiled"} {

@@ -226,9 +226,16 @@ func init() {
 			return nil
 		},
 		BuildVertex: func(g *graph.Graph, p Params) (dist.Algo[int], int, error) {
+			if g.MaxDegree() == 0 {
+				return oneColorAlgo, 1, nil
+			}
 			return baseline.GreedyVertexAlgo(), g.MaxDegree() + 1, nil
 		},
 		RunVertex: func(g *graph.Graph, p Params, opts ...dist.Option) (*dist.Result[int], []string, error) {
+			if g.MaxDegree() == 0 {
+				res, err := dist.RunAlgo(g, oneColorAlgo, opts...)
+				return res, nil, err
+			}
 			res, err := baseline.GreedyVertexColoring(g, opts...)
 			return res, nil, err
 		},
@@ -275,9 +282,9 @@ func legalVertexAlgo(g *graph.Graph, p Params, mode core.Mode) (dist.Algo[int], 
 }
 
 // oneColorAlgo is the 1-coloring of an edgeless graph's isolated vertices
-// and noEdgesAlgo its empty edge coloring. The Legal-Color, tradeoff and
-// defective hooks answer Δ=0 with them: no vertex calls Round, so the run
-// spends no rounds.
+// and noEdgesAlgo its empty edge coloring. The Legal-Color, tradeoff,
+// defective and vertex greedy hooks answer Δ=0 with them: no vertex calls
+// Round, so the run spends no rounds.
 var (
 	oneColorAlgo = dist.Algo[int]{Vertex: func(dist.Process) int { return 1 }, Compiled: oneColor{}}
 	noEdgesAlgo  = dist.Algo[[]int]{Vertex: func(dist.Process) []int { return nil }, Compiled: noEdges{}}

@@ -3,7 +3,7 @@ package dynamic
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/dist"
@@ -120,17 +120,53 @@ type Stats struct {
 // CanonicalColors(Graph()) — the documented recompute contract — while
 // costing only the affected region per mutation. Safe for concurrent use;
 // mutations serialize.
+//
+// Per-edge state is indexed by the overlay's edge slots, so the mutation
+// path touches no map: colors[slot] is an edge's color, and the repair's
+// dirty and boundary sets are epoch-stamped slot sets.
 type Maintainer struct {
 	mu     sync.Mutex
 	cfg    Config
 	ov     *graph.Overlay
-	colors map[graph.Edge]int
+	colors []int32 // colors[slot] of every live edge; 0 on a free slot
 	stats  Stats
 	closed bool
 
-	// scratch reused across repairs
-	nbrBuf []int32
-	used   colorSet
+	*scratch // lent by acquire while mu is held, nil otherwise
+}
+
+// scratch is the working memory of a repair or a coloring read. It holds
+// nothing between calls, so maintainers borrow it from a pool rather than
+// each keeping the high-water mark of its largest repair.
+type scratch struct {
+	adj     []graph.Incidence
+	used    colorSet
+	heap    edgeHeap
+	dirty   []slotEdge // discovery's recolored edges, in lexicographic order
+	inDirty slotSet
+	inBound slotSet
+	verts   []int
+	toSub   []int // toSub[v] is v's vertex in the repair subgraph
+	forbid  []int // backing array of the repair run's forbidden lists
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// acquire lends m pooled scratch until release. Caller holds mu.
+func (m *Maintainer) acquire() {
+	m.scratch = scratchPool.Get().(*scratch)
+}
+
+// release returns m's scratch to the pool. Caller holds mu.
+func (m *Maintainer) release() {
+	scratchPool.Put(m.scratch)
+	m.scratch = nil
+}
+
+// slotEdge is an edge of the current graph together with its overlay slot.
+type slotEdge struct {
+	e    graph.Edge
+	slot int32
 }
 
 // New builds a Maintainer over base (which must carry default vertex
@@ -141,11 +177,7 @@ func New(base *graph.Graph, cfg Config) (*Maintainer, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &Maintainer{
-		cfg:    cfg,
-		ov:     ov,
-		colors: make(map[graph.Edge]int, base.M()),
-	}
+	m := &Maintainer{cfg: cfg, ov: ov}
 	if err := m.recolorAll(base); err != nil {
 		return nil, err
 	}
@@ -153,6 +185,7 @@ func New(base *graph.Graph, cfg Config) (*Maintainer, error) {
 }
 
 // recolorAll replaces the whole coloring with the canonical coloring of g,
+// the overlay's base with an empty churn layer (so slots are edge ids),
 // computed by one distributed run on the configured engine. Caller holds mu
 // (or is New).
 func (m *Maintainer) recolorAll(g *graph.Graph) error {
@@ -160,9 +193,9 @@ func (m *Maintainer) recolorAll(g *graph.Graph) error {
 	if err != nil {
 		return err
 	}
-	clear(m.colors)
-	for id, e := range g.Edges() {
-		m.colors[e] = colors[id]
+	m.colors = make([]int32, len(colors))
+	for id, c := range colors {
+		m.colors[id] = int32(c)
 	}
 	m.stats.FullRuns++
 	m.stats.FullActivations += int64(stats.Activations)
@@ -177,12 +210,21 @@ func (m *Maintainer) Insert(u, v int) (Report, error) {
 	if m.closed {
 		return Report{}, errClosed
 	}
+	m.acquire()
+	defer m.release()
 	if err := m.ov.Insert(u, v); err != nil {
 		return Report{}, err
 	}
 	m.stats.Mutations++
 	m.stats.Inserts++
-	rep, changed, err := m.repair([]graph.Edge{canonEdge(u, v)})
+	// A new slot is appended with color 0 and a reused one was zeroed by
+	// its delete, so the new edge reads as uncolored and always stages.
+	if k := m.ov.SlotLimit() - len(m.colors); k > 0 {
+		m.colors = append(m.colors, make([]int32, k)...)
+	}
+	slot, _ := m.ov.Slot(u, v)
+	m.heap.push(slotEdge{canonEdge(u, v), slot})
+	rep, changed, err := m.repair()
 	if err != nil {
 		// The overlay mutated but the coloring did not: serving it would
 		// violate the contract, so the maintainer poisons itself.
@@ -204,17 +246,19 @@ func (m *Maintainer) Delete(u, v int) (Report, error) {
 	if m.closed {
 		return Report{}, errClosed
 	}
-	e := canonEdge(u, v)
+	m.acquire()
+	defer m.release()
+	slot, _ := m.ov.Slot(u, v)
 	if err := m.ov.Delete(u, v); err != nil {
 		return Report{}, err
 	}
-	delete(m.colors, e)
+	m.colors[slot] = 0
 	m.stats.Mutations++
 	m.stats.Deletes++
 	// The deleted edge's color was an input to every incident lexicographic
 	// successor; those are the change-propagation seeds.
-	seeds := m.incidentSuccessors(e)
-	rep, changed, err := m.repair(seeds)
+	m.pushSuccessors(canonEdge(u, v))
+	rep, changed, err := m.repair()
 	if err != nil {
 		m.closed = true // see Insert: a failed repair poisons the maintainer
 		return rep, err
@@ -259,35 +303,35 @@ func lexLessEdge(a, b graph.Edge) bool {
 	return a.V < b.V
 }
 
-// incidentSuccessors lists the current edges incident to e that follow it
-// lexicographically, deduplicated (an edge sharing both endpoints cannot
-// exist in a simple graph, so the two endpoint scans are disjoint except
-// for e itself, which is excluded by the strict comparison).
-func (m *Maintainer) incidentSuccessors(e graph.Edge) []graph.Edge {
-	var out []graph.Edge
+// pushSuccessors pushes the current edges incident to e that follow it
+// lexicographically onto the discovery heap (an edge sharing both endpoints
+// cannot exist in a simple graph, so the two endpoint scans are disjoint
+// except for e itself, which is excluded by the strict comparison).
+func (m *Maintainer) pushSuccessors(e graph.Edge) {
 	for _, w := range [2]int{e.U, e.V} {
-		m.nbrBuf = m.ov.AppendNeighbors(w, m.nbrBuf[:0])
-		for _, x := range m.nbrBuf {
-			f := canonEdge(w, int(x))
-			if lexLessEdge(e, f) {
-				out = append(out, f)
+		m.adj = m.ov.AppendIncident(w, m.adj[:0])
+		for _, x := range m.adj {
+			if f := canonEdge(w, int(x.Nbr)); lexLessEdge(e, f) {
+				m.heap.push(slotEdge{f, x.Slot})
 			}
 		}
 	}
-	return out
 }
 
-// repair runs the change-propagation discovery from the seed edges and, if
-// any canonical color actually changes, recolors the dirty set with a
-// distributed run on the induced repair subgraph. Caller holds mu. changed
-// is the recolor delta in lexicographic edge order, materialized only when
-// an OnCommit hook will consume it.
-func (m *Maintainer) repair(seeds []graph.Edge) (Report, []ChangedColor, error) {
-	dirty, staged := m.discover(seeds)
-	if len(dirty) == 0 {
+// repair runs the change-propagation discovery from the edges on the heap
+// and, if any canonical color actually changes, recolors the dirty set with
+// a distributed run on the induced repair subgraph. Caller holds mu.
+// changed is the recolor delta in lexicographic edge order, materialized
+// only when an OnCommit hook will consume it.
+func (m *Maintainer) repair() (Report, []ChangedColor, error) {
+	m.discover()
+	if len(m.dirty) == 0 {
 		return Report{}, nil, nil
 	}
-	sub, origVerts, forbidden, boundary := m.repairSubgraph(dirty)
+	sub, forbidden, boundary, err := m.repairSubgraph()
+	if err != nil {
+		return Report{}, nil, err
+	}
 	res, err := dist.RunAlgo(sub, repairBundle(sub, forbidden), dist.WithEngine(m.cfg.Engine))
 	if err != nil {
 		return Report{}, nil, err
@@ -298,27 +342,23 @@ func (m *Maintainer) repair(seeds []graph.Edge) (Report, []ChangedColor, error) 
 	}
 	// The distributed run and the discovery pass compute the same greedy
 	// fixpoint by construction; a mismatch means the determinism contract
-	// broke, which must fail loudly, never splice.
-	for id, se := range sub.Edges() {
-		e := canonEdge(origVerts[se.U], origVerts[se.V])
-		if subColors[id] != staged[e] {
-			return Report{}, nil, fmt.Errorf("dynamic: repair of %v computed color %d, discovery staged %d", e, subColors[id], staged[e])
+	// broke, which must fail loudly. Sub edge id i is dirty[i].
+	for id, x := range m.dirty {
+		if c := m.colors[x.slot]; subColors[id] != int(c) {
+			return Report{}, nil, fmt.Errorf("dynamic: repair of %v computed color %d, discovery staged %d", x.e, subColors[id], c)
 		}
 	}
-	for e, c := range staged {
-		m.colors[e] = c
-	}
-	if err := m.checkSeam(dirty); err != nil {
+	if err := m.checkSeam(); err != nil {
 		return Report{}, nil, err
 	}
 	var changed []ChangedColor
 	if m.cfg.OnCommit != nil {
-		changed = make([]ChangedColor, len(dirty))
-		for i, e := range dirty { // dirty is already in lexicographic order
-			changed[i] = ChangedColor{U: e.U, V: e.V, Color: staged[e]}
+		changed = make([]ChangedColor, len(m.dirty))
+		for i, x := range m.dirty { // dirty is already in lexicographic order
+			changed[i] = ChangedColor{U: x.e.U, V: x.e.V, Color: int(m.colors[x.slot])}
 		}
 	}
-	rep := Report{Dirty: len(dirty), Boundary: boundary, Vertices: sub.N(), Stats: res.Stats}
+	rep := Report{Dirty: len(m.dirty), Boundary: boundary, Vertices: sub.N(), Stats: res.Stats}
 	m.stats.Repairs++
 	m.stats.RepairedEdges += int64(rep.Dirty)
 	m.stats.RepairVertices += int64(rep.Vertices)
@@ -331,130 +371,127 @@ func (m *Maintainer) repair(seeds []graph.Edge) (Report, []ChangedColor, error) 
 }
 
 // discover runs change propagation: re-evaluate the canonical fixpoint
-// equation at each seed in lexicographic order; every edge whose color
+// equation at each heap edge in lexicographic order; every edge whose color
 // changes stages its new color and pushes its incident successors. Edges
 // are processed in lexicographic order (a min-heap), and propagation only
 // ever pushes successors, so when an edge is evaluated all lexicographically
 // smaller colors are final — the staged set is exactly the set of edges on
 // which the canonical colorings of the old and new graphs differ. For the
 // same reason no edge is pushed again once popped, so the copies of an edge
-// pushed twice pop back to back and need no visited set.
-func (m *Maintainer) discover(seeds []graph.Edge) ([]graph.Edge, map[graph.Edge]int) {
-	staged := make(map[graph.Edge]int)
-	var dirty []graph.Edge
-	h := &edgeHeap{}
-	for _, e := range seeds {
-		h.push(e)
-	}
+// pushed twice pop back to back and need no visited set, and m.dirty comes
+// out in lexicographic order.
+//
+// A new color is staged in place in m.colors: every later evaluation must
+// read it, no earlier one reads it again, and a failed repair poisons the
+// maintainer, so there is nothing to roll back.
+func (m *Maintainer) discover() {
+	m.dirty = m.dirty[:0]
+	m.inDirty.reset(len(m.colors))
 	var last graph.Edge // U < V for every edge, so the zero Edge is none
-	for h.len() > 0 {
-		e := h.pop()
-		if e == last {
+	for m.heap.len() > 0 {
+		x := m.heap.pop()
+		if x.e == last {
 			continue // pushed twice: its copies pop back to back
 		}
-		last = e
+		last = x.e
 		m.used.reset()
-		for _, w := range [2]int{e.U, e.V} {
-			m.nbrBuf = m.ov.AppendNeighbors(w, m.nbrBuf[:0])
-			for _, x := range m.nbrBuf {
-				f := canonEdge(w, int(x))
-				if !lexLessEdge(f, e) {
-					continue
-				}
-				if c, ok := staged[f]; ok {
-					m.used.add(c)
-				} else {
-					m.used.add(m.colors[f])
+		for _, w := range [2]int{x.e.U, x.e.V} {
+			m.adj = m.ov.AppendIncident(w, m.adj[:0])
+			for _, y := range m.adj {
+				if lexLessEdge(canonEdge(w, int(y.Nbr)), x.e) {
+					m.used.add(int(m.colors[y.Slot]))
 				}
 			}
 		}
-		newC := m.used.mex()
-		if newC == m.colors[e] { // 0 for a new edge, so an insert always stages
+		newC := int32(m.used.mex())
+		if newC == m.colors[x.slot] { // 0 for a new edge, so an insert always stages
 			continue
 		}
-		staged[e] = newC
-		dirty = append(dirty, e)
-		for _, f := range m.incidentSuccessors(e) {
-			h.push(f)
-		}
+		m.colors[x.slot] = newC
+		m.inDirty.add(x.slot)
+		m.dirty = append(m.dirty, x)
+		m.pushSuccessors(x.e)
 	}
-	sort.Slice(dirty, func(i, j int) bool { return lexLessEdge(dirty[i], dirty[j]) })
-	return dirty, staged
 }
 
 // repairSubgraph builds the induced repair subgraph: exactly the dirty
 // edges, on their endpoints (relabelled order-preservingly, so lexicographic
-// edge order carries over). forbidden[subEdgeID] lists the colors of
-// committed lexicographically smaller incident edges — the boundary
-// constraints; boundary counts the distinct committed edges involved.
-func (m *Maintainer) repairSubgraph(dirty []graph.Edge) (*graph.Graph, []int, [][]int, int) {
-	dirtySet := make(map[graph.Edge]bool, len(dirty))
-	vertSet := make(map[int]bool)
-	for _, e := range dirty {
-		dirtySet[e] = true
-		vertSet[e.U] = true
-		vertSet[e.V] = true
+// edge order carries over and sub edge id i is m.dirty[i]).
+// forbidden[subEdgeID] lists the colors of committed lexicographically
+// smaller incident edges — the boundary constraints; boundary counts the
+// distinct committed edges involved.
+func (m *Maintainer) repairSubgraph() (*graph.Graph, [][]int, int, error) {
+	verts := m.verts[:0]
+	for _, x := range m.dirty {
+		verts = append(verts, x.e.U, x.e.V)
 	}
-	origVerts := make([]int, 0, len(vertSet))
-	for v := range vertSet {
-		origVerts = append(origVerts, v)
+	slices.Sort(verts)
+	verts = slices.Compact(verts)
+	m.verts = verts
+	if k := m.ov.N() - len(m.toSub); k > 0 {
+		m.toSub = append(m.toSub, make([]int, k)...)
 	}
-	sort.Ints(origVerts)
-	toSub := make(map[int]int, len(origVerts))
-	for i, v := range origVerts {
-		toSub[v] = i
+	for i, v := range verts {
+		m.toSub[v] = i
 	}
-	b := graph.NewBuilder(len(origVerts))
-	for _, e := range dirty {
-		_ = b.AddEdge(toSub[e.U], toSub[e.V])
+	edges := make([]graph.Edge, len(m.dirty))
+	for i, x := range m.dirty {
+		edges[i] = graph.Edge{U: m.toSub[x.e.U], V: m.toSub[x.e.V]}
 	}
-	sub := b.Build()
-	forbidden := make([][]int, sub.M())
-	boundarySet := make(map[graph.Edge]bool)
-	for id, se := range sub.Edges() {
-		e := canonEdge(origVerts[se.U], origVerts[se.V])
+	sub, err := graph.FromSortedEdges(len(verts), edges)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	forbidden := make([][]int, len(m.dirty))
+	flat := m.forbid[:0]
+	m.inBound.reset(len(m.colors))
+	boundary := 0
+	for id, x := range m.dirty {
 		m.used.reset()
 		top, k := 0, 0 // largest and number of distinct boundary colors of e
-		for _, w := range [2]int{e.U, e.V} {
-			m.nbrBuf = m.ov.AppendNeighbors(w, m.nbrBuf[:0])
-			for _, x := range m.nbrBuf {
-				f := canonEdge(w, int(x))
-				if dirtySet[f] || !lexLessEdge(f, e) {
+		for _, w := range [2]int{x.e.U, x.e.V} {
+			m.adj = m.ov.AppendIncident(w, m.adj[:0])
+			for _, y := range m.adj {
+				if m.inDirty.has(y.Slot) || !lexLessEdge(canonEdge(w, int(y.Nbr)), x.e) {
 					continue
 				}
-				boundarySet[f] = true
-				if c := m.colors[f]; !m.used.has(c) {
+				if m.inBound.add(y.Slot) {
+					boundary++
+				}
+				if c := int(m.colors[y.Slot]); !m.used.has(c) {
 					m.used.add(c)
 					top, k = max(top, c), k+1
 				}
 			}
 		}
 		if k > 0 {
-			fb := make([]int, 0, k) // filled in ascending order: sorted
+			// Filled in ascending order, so sorted. The lists share
+			// m.forbid; a list left behind by a regrowth stays valid.
+			start := len(flat)
 			for c := 1; c <= top; c++ {
 				if m.used.has(c) {
-					fb = append(fb, c)
+					flat = append(flat, c)
 				}
 			}
-			forbidden[id] = fb
+			forbidden[id] = flat[start:len(flat):len(flat)]
 		}
 	}
-	return sub, origVerts, forbidden, len(boundarySet)
+	m.forbid = flat
+	return sub, forbidden, boundary, nil
 }
 
 // checkSeam verifies legality locally around the repaired edges: no dirty
 // edge may share a color with any incident edge of the current graph. The
 // canonical contract makes this a no-op in a correct run; it is the cheap
 // guard that a splice bug cannot silently corrupt the maintained coloring.
-func (m *Maintainer) checkSeam(dirty []graph.Edge) error {
-	for _, e := range dirty {
-		c := m.colors[e]
-		for _, w := range [2]int{e.U, e.V} {
-			m.nbrBuf = m.ov.AppendNeighbors(w, m.nbrBuf[:0])
-			for _, x := range m.nbrBuf {
-				f := canonEdge(w, int(x))
-				if f != e && m.colors[f] == c {
-					return fmt.Errorf("dynamic: seam violation: edges %v and %v share color %d", e, f, c)
+func (m *Maintainer) checkSeam() error {
+	for _, x := range m.dirty {
+		c := m.colors[x.slot]
+		for _, w := range [2]int{x.e.U, x.e.V} {
+			m.adj = m.ov.AppendIncident(w, m.adj[:0])
+			for _, y := range m.adj {
+				if y.Slot != x.slot && m.colors[y.Slot] == c {
+					return fmt.Errorf("dynamic: seam violation: edges %v and %v share color %d", x.e, canonEdge(w, int(y.Nbr)), c)
 				}
 			}
 		}
@@ -463,8 +500,7 @@ func (m *Maintainer) checkSeam(dirty []graph.Edge) error {
 }
 
 // maybeCompact compacts the overlay back to CSR when the churn layer
-// outgrows the configured threshold. Compaction changes no colors — the
-// coloring is keyed by endpoints, and the edge set is unchanged.
+// outgrows the configured threshold.
 func (m *Maintainer) maybeCompact() {
 	if m.cfg.CompactPending < 0 {
 		return
@@ -477,8 +513,7 @@ func (m *Maintainer) maybeCompact() {
 		}
 	}
 	if m.ov.Pending() >= threshold {
-		m.ov.Compact()
-		m.stats.Compactions++
+		m.compact()
 	}
 }
 
@@ -486,12 +521,23 @@ func (m *Maintainer) maybeCompact() {
 func (m *Maintainer) Compact() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.ov.Compact()
+	m.compact()
+}
+
+// compact compacts the overlay and carries the colors over to the
+// renumbered slots. It changes no color. Caller holds mu.
+func (m *Maintainer) compact() {
+	oldSlot := m.ov.Compact()
+	colors := make([]int32, len(oldSlot))
+	for id, s := range oldSlot {
+		colors[id] = m.colors[s]
+	}
+	m.colors = colors
 	m.stats.Compactions++
 }
 
-// Graph materializes the current mutated graph (memoized between
-// mutations).
+// Graph materializes the current mutated graph: a fresh CSR build on every
+// call unless no mutation is pending since the last compaction.
 func (m *Maintainer) Graph() *graph.Graph {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -503,12 +549,7 @@ func (m *Maintainer) Graph() *graph.Graph {
 func (m *Maintainer) Colors() []int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	g := m.ov.Materialize()
-	out := make([]int, g.M())
-	for id, e := range g.Edges() {
-		out[id] = m.colors[e]
-	}
-	return out
+	return m.canonicalColors()
 }
 
 // Snapshot returns the current fingerprint, shape, and coloring as one
@@ -517,20 +558,36 @@ func (m *Maintainer) Colors() []int {
 func (m *Maintainer) Snapshot() (fp graph.Fingerprint, n, mm, delta int, colors []int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	g := m.ov.Materialize()
-	colors = make([]int, g.M())
-	for id, e := range g.Edges() {
-		colors[id] = m.colors[e]
+	return m.ov.Fingerprint(), m.ov.N(), m.ov.M(), m.ov.MaxDegree(), m.canonicalColors()
+}
+
+// canonicalColors emits the colors in canonical edge order — the edge ids
+// Graph() would assign — by walking each vertex's merged adjacency above
+// it, without building a CSR. Caller holds mu.
+func (m *Maintainer) canonicalColors() []int {
+	m.acquire()
+	defer m.release()
+	out := make([]int, 0, m.ov.M())
+	for u := range m.ov.N() {
+		m.adj = m.ov.AppendIncident(u, m.adj[:0])
+		for _, y := range m.adj {
+			if int(y.Nbr) > u {
+				out = append(out, int(m.colors[y.Slot]))
+			}
+		}
 	}
-	return m.ov.Fingerprint(), m.ov.N(), m.ov.M(), m.ov.MaxDegree(), colors
+	return out
 }
 
 // ColorOf returns the color of edge (u, v), if present.
 func (m *Maintainer) ColorOf(u, v int) (int, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	c, ok := m.colors[canonEdge(u, v)]
-	return c, ok
+	slot, ok := m.ov.Slot(u, v)
+	if !ok {
+		return 0, false
+	}
+	return int(m.colors[slot]), true
 }
 
 // Fingerprint returns the incrementally tracked edge-set fingerprint of the
@@ -613,17 +670,47 @@ func (m *Maintainer) Close() {
 	m.closed = true
 }
 
-// edgeHeap is a lexicographic min-heap of edges.
-type edgeHeap struct{ es []graph.Edge }
+// slotSet is a set of slots emptied in O(1) by bumping an epoch — the
+// colorSet idiom keyed by slot. reset sizes it to a slot limit and empties
+// it; call it before the first use.
+type slotSet struct {
+	stamp []uint32
+	epoch uint32
+}
+
+func (s *slotSet) reset(limit int) {
+	if k := limit - len(s.stamp); k > 0 {
+		s.stamp = append(s.stamp, make([]uint32, k)...)
+	}
+	s.epoch++
+	if s.epoch == 0 { // wrapped: old stamps would alias the new epoch
+		clear(s.stamp)
+		s.epoch = 1
+	}
+}
+
+// add inserts slot and reports whether it was absent.
+func (s *slotSet) add(slot int32) bool {
+	if s.stamp[slot] == s.epoch {
+		return false
+	}
+	s.stamp[slot] = s.epoch
+	return true
+}
+
+func (s *slotSet) has(slot int32) bool { return s.stamp[slot] == s.epoch }
+
+// edgeHeap is a lexicographic min-heap of edges with their slots.
+type edgeHeap struct{ es []slotEdge }
 
 func (h *edgeHeap) len() int { return len(h.es) }
 
-func (h *edgeHeap) push(e graph.Edge) {
+func (h *edgeHeap) push(e slotEdge) {
 	h.es = append(h.es, e)
 	i := len(h.es) - 1
 	for i > 0 {
 		p := (i - 1) / 2
-		if !lexLessEdge(h.es[i], h.es[p]) {
+		if !lexLessEdge(h.es[i].e, h.es[p].e) {
 			break
 		}
 		h.es[i], h.es[p] = h.es[p], h.es[i]
@@ -631,7 +718,7 @@ func (h *edgeHeap) push(e graph.Edge) {
 	}
 }
 
-func (h *edgeHeap) pop() graph.Edge {
+func (h *edgeHeap) pop() slotEdge {
 	top := h.es[0]
 	last := len(h.es) - 1
 	h.es[0] = h.es[last]
@@ -640,10 +727,10 @@ func (h *edgeHeap) pop() graph.Edge {
 	for {
 		l, r := 2*i+1, 2*i+2
 		small := i
-		if l < len(h.es) && lexLessEdge(h.es[l], h.es[small]) {
+		if l < len(h.es) && lexLessEdge(h.es[l].e, h.es[small].e) {
 			small = l
 		}
-		if r < len(h.es) && lexLessEdge(h.es[r], h.es[small]) {
+		if r < len(h.es) && lexLessEdge(h.es[r].e, h.es[small].e) {
 			small = r
 		}
 		if small == i {

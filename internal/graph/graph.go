@@ -101,32 +101,52 @@ func (b *Builder) NumEdges() int { return len(b.edges) }
 
 // Build produces the immutable graph. The builder remains usable.
 func (b *Builder) Build() *Graph {
-	g := &Graph{
-		n:     b.n,
-		edges: make([]Edge, len(b.edges)),
-		ids:   make([]int, b.n),
-	}
-	copy(g.edges, b.edges)
+	edges := make([]Edge, len(b.edges))
+	copy(edges, b.edges)
 	// Sort edges for stable, input-order-independent edge ids.
-	sort.Slice(g.edges, func(i, j int) bool {
-		if g.edges[i].U != g.edges[j].U {
-			return g.edges[i].U < g.edges[j].U
+	sort.Slice(edges, func(i, j int) bool {
+		if edges[i].U != edges[j].U {
+			return edges[i].U < edges[j].U
 		}
-		return g.edges[i].V < g.edges[j].V
+		return edges[i].V < edges[j].V
 	})
+	return fromSortedEdges(b.n, edges)
+}
+
+// FromSortedEdges builds the graph on n vertices (default identifiers) whose
+// edge list is edges, which must already be canonical (U < V), in range, and
+// strictly increasing in lexicographic order — so edges[id] keeps its id.
+// It skips the Builder's duplicate map; a list that breaks the order is an
+// error. The graph takes ownership of edges.
+func FromSortedEdges(n int, edges []Edge) (*Graph, error) {
+	for i, e := range edges {
+		if e.U < 0 || e.U >= e.V || e.V >= n {
+			return nil, fmt.Errorf("graph: sorted edge %d (%d,%d) not canonical in [0,%d)", i, e.U, e.V, n)
+		}
+		if i > 0 && !(edges[i-1].U < e.U || edges[i-1].U == e.U && edges[i-1].V < e.V) {
+			return nil, fmt.Errorf("graph: sorted edge %d (%d,%d) does not follow (%d,%d)", i, e.U, e.V, edges[i-1].U, edges[i-1].V)
+		}
+	}
+	return fromSortedEdges(n, edges), nil
+}
+
+// fromSortedEdges lays out the CSR arrays of a validated, lexicographically
+// sorted edge list, taking ownership of it.
+func fromSortedEdges(n int, edges []Edge) *Graph {
+	g := &Graph{n: n, edges: edges, ids: make([]int, n)}
 	// CSR offsets from the degree histogram.
-	g.off = make([]int32, b.n+1)
+	g.off = make([]int32, n+1)
 	for _, e := range g.edges {
 		g.off[e.U+1]++
 		g.off[e.V+1]++
 	}
-	for v := 0; v < b.n; v++ {
+	for v := 0; v < n; v++ {
 		g.off[v+1] += g.off[v]
 		if d := int(g.off[v+1] - g.off[v]); d > g.maxDeg {
 			g.maxDeg = d
 		}
 	}
-	slots := g.off[b.n]
+	slots := g.off[n]
 	g.nbrs = make([]int32, slots)
 	g.eids = make([]int32, slots)
 	g.rev = make([]int32, slots)
@@ -136,8 +156,8 @@ func (b *Builder) Build() *Graph {
 	// and the larger from edges (w,y); lexicographic edge order emits every
 	// (x,w) before every (w,y) and keeps each group in increasing neighbor
 	// order, so no post-sort is needed (pinned by TestCSRInvariants).
-	cur := make([]int32, b.n)
-	copy(cur, g.off[:b.n])
+	cur := make([]int32, n)
+	copy(cur, g.off[:n])
 	for id, e := range g.edges {
 		su, sv := cur[e.U], cur[e.V]
 		cur[e.U]++

@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"sort"
 )
 
 // EdgeSetFingerprint is an order-independent content hash of (n, edge set):
@@ -56,6 +55,16 @@ func (f *Fingerprint) xor(g Fingerprint) {
 // mutation, and compacts back to a fresh CSR Graph on demand or when the
 // churn layer outgrows the base.
 //
+// Every live edge has a stable int32 slot, so per-edge state can live in a
+// slot-indexed slice instead of a map keyed by endpoints. A base edge's slot
+// is its CSR edge id; an inserted edge takes a slot at or above base.M(),
+// from a free list or appended (SlotLimit bounds them); deleting an inserted
+// edge frees its slot, and re-inserting a deleted base edge gets its base
+// slot back. Compact renumbers: the new base's edge ids are the new slots,
+// and it returns the old slot of each. No query or mutation touches a map:
+// the deleted base edges are a bitset over base edge ids and the inserted
+// edges are per-vertex slices sorted by neighbor.
+//
 // The vertex set is fixed: mutations add and remove edges only. Overlay
 // requires the base graph to carry the default identifier assignment
 // (ID(v) = v+1), so vertex-index order, identifier order, and the canonical
@@ -64,16 +73,24 @@ func (f *Fingerprint) xor(g Fingerprint) {
 // An Overlay is not safe for concurrent use; callers (dynamic.Maintainer)
 // serialize access.
 type Overlay struct {
-	base    *Graph
-	added   map[Edge]struct{} // present, not in base
-	removed map[Edge]struct{} // in base, absent
-	addAdj  map[int][]int32   // per-vertex inserted neighbors, sorted
-	deg     []int             // current degree per vertex
-	degHist []int             // degHist[d] = #vertices of degree d
-	maxDeg  int               // current Δ, tracked via degHist
-	m       int               // current edge count
-	fp      Fingerprint       // incremental EdgeSetFingerprint
-	mat     *Graph            // memoized Materialize, nil after a mutation
+	base     *Graph
+	removed  []uint64      // bit id set: base edge id is deleted
+	nRemoved int           // set bits of removed
+	ins      [][]Incidence // per-vertex inserted edges, sorted by Nbr
+	nAdded   int           // inserted edges (each is in two ins lists)
+	free     []int32       // slots of deleted inserted edges, for reuse
+	limit    int32         // one past the largest slot handed out
+	deg      []int32       // current degree per vertex
+	degHist  []int32       // degHist[d] = #vertices of degree d
+	maxDeg   int           // current Δ, tracked via degHist
+	m        int           // current edge count
+	fp       Fingerprint   // incremental EdgeSetFingerprint
+}
+
+// Incidence is one entry of a vertex's current adjacency: the neighbor and
+// the slot of the edge to it.
+type Incidence struct {
+	Nbr, Slot int32
 }
 
 // NewOverlay returns an overlay over base with no pending mutations. It
@@ -85,21 +102,32 @@ func NewOverlay(base *Graph) (*Overlay, error) {
 		}
 	}
 	o := &Overlay{
-		base:    base,
-		added:   make(map[Edge]struct{}),
-		removed: make(map[Edge]struct{}),
-		addAdj:  make(map[int][]int32),
-		deg:     base.Degrees(),
-		degHist: make([]int, base.N()+1),
+		ins:     make([][]Incidence, base.N()),
+		deg:     make([]int32, base.N()),
+		degHist: make([]int32, base.N()+1),
 		maxDeg:  base.MaxDegree(),
 		m:       base.M(),
 		fp:      base.EdgeSetFingerprint(),
-		mat:     base,
 	}
-	for _, d := range o.deg {
-		o.degHist[d]++
+	o.setBase(base)
+	for v := range o.deg {
+		o.deg[v] = int32(base.Deg(v))
+		o.degHist[o.deg[v]]++
 	}
 	return o, nil
+}
+
+// setBase installs g as the base with an empty churn layer.
+func (o *Overlay) setBase(g *Graph) {
+	o.base = g
+	o.removed = make([]uint64, (g.M()+63)/64)
+	o.nRemoved = 0
+	for v := range o.ins {
+		o.ins[v] = o.ins[v][:0]
+	}
+	o.nAdded = 0
+	o.free = o.free[:0]
+	o.limit = int32(g.M())
 }
 
 // Base returns the CSR graph the overlay currently layers over (the last
@@ -113,7 +141,7 @@ func (o *Overlay) N() int { return o.base.N() }
 func (o *Overlay) M() int { return o.m }
 
 // Deg returns the current degree of v.
-func (o *Overlay) Deg(v int) int { return o.deg[v] }
+func (o *Overlay) Deg(v int) int { return int(o.deg[v]) }
 
 // MaxDegree returns Δ of the current graph, maintained incrementally.
 func (o *Overlay) MaxDegree() int { return o.maxDeg }
@@ -124,21 +152,49 @@ func (o *Overlay) Fingerprint() Fingerprint { return o.fp }
 
 // Pending returns the size of the churn layer: the number of inserted plus
 // deleted edges relative to the base.
-func (o *Overlay) Pending() int { return len(o.added) + len(o.removed) }
+func (o *Overlay) Pending() int { return o.nAdded + o.nRemoved }
+
+// SlotLimit returns one past the largest slot handed out since the last
+// compaction: every live slot is below it, so a slot-indexed slice of this
+// length covers the current graph.
+func (o *Overlay) SlotLimit() int { return int(o.limit) }
 
 // HasEdge reports whether (u, v) is an edge of the current graph.
 func (o *Overlay) HasEdge(u, v int) bool {
+	_, ok := o.Slot(u, v)
+	return ok
+}
+
+// Slot returns the slot of the edge (u, v) of the current graph, and false
+// if there is no such edge.
+func (o *Overlay) Slot(u, v int) (int32, bool) {
 	if u == v || u < 0 || v < 0 || u >= o.N() || v >= o.N() {
-		return false
+		return 0, false
 	}
-	e := canonical(u, v)
-	if _, ok := o.added[e]; ok {
-		return true
+	if id, ok := o.base.EdgeID(u, v); ok { // a base edge is never also inserted
+		return int32(id), !o.isRemoved(int32(id))
 	}
-	if _, ok := o.removed[e]; ok {
-		return false
+	a := o.ins[u]
+	if i := searchNbr(a, int32(v)); i < len(a) && a[i].Nbr == int32(v) {
+		return a[i].Slot, true
 	}
-	return o.base.HasEdge(u, v)
+	return 0, false
+}
+
+func (o *Overlay) isRemoved(id int32) bool { return o.removed[id>>6]&(1<<(id&63)) != 0 }
+
+// searchNbr returns the first index of a whose neighbor is >= w.
+func searchNbr(a []Incidence, w int32) int {
+	lo, hi := 0, len(a)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if a[mid].Nbr < w {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // Insert adds the edge (u, v) to the current graph. Inserting an existing
@@ -155,128 +211,145 @@ func (o *Overlay) Insert(u, v int) error {
 		return fmt.Errorf("graph: overlay insert duplicate edge (%d,%d)", u, v)
 	}
 	e := canonical(u, v)
-	if _, wasRemoved := o.removed[e]; wasRemoved {
-		delete(o.removed, e) // re-inserting a deleted base edge cancels out
+	if id, ok := o.base.EdgeID(e.U, e.V); ok {
+		o.removed[id>>6] &^= 1 << (id & 63) // re-inserting a deleted base edge cancels out
+		o.nRemoved--
 	} else {
-		o.added[e] = struct{}{}
-		o.insertAdj(e.U, int32(e.V))
-		o.insertAdj(e.V, int32(e.U))
+		slot := o.limit
+		if k := len(o.free) - 1; k >= 0 {
+			slot, o.free = o.free[k], o.free[:k]
+		} else {
+			o.limit++
+		}
+		o.insertAdj(e.U, Incidence{Nbr: int32(e.V), Slot: slot})
+		o.insertAdj(e.V, Incidence{Nbr: int32(e.U), Slot: slot})
+		o.nAdded++
 	}
 	o.bumpDeg(e.U, +1)
 	o.bumpDeg(e.V, +1)
 	o.m++
 	o.fp.xor(edgeHash(e))
-	o.mat = nil
 	return nil
 }
 
 // Delete removes the edge (u, v) from the current graph. Deleting a
 // non-edge is an error; the overlay is unchanged on error.
 func (o *Overlay) Delete(u, v int) error {
-	if !o.HasEdge(u, v) {
+	slot, ok := o.Slot(u, v)
+	if !ok {
 		return fmt.Errorf("graph: overlay delete of non-edge (%d,%d)", u, v)
 	}
 	e := canonical(u, v)
-	if _, wasAdded := o.added[e]; wasAdded {
-		delete(o.added, e) // deleting an inserted edge cancels out
-		o.removeAdj(e.U, int32(e.V))
-		o.removeAdj(e.V, int32(e.U))
+	if int(slot) < o.base.M() {
+		o.removed[slot>>6] |= 1 << (slot & 63)
+		o.nRemoved++
 	} else {
-		o.removed[e] = struct{}{}
+		o.removeAdj(e.U, int32(e.V)) // deleting an inserted edge cancels out
+		o.removeAdj(e.V, int32(e.U))
+		o.free = append(o.free, slot)
+		o.nAdded--
 	}
 	o.bumpDeg(e.U, -1)
 	o.bumpDeg(e.V, -1)
 	o.m--
 	o.fp.xor(edgeHash(e))
-	o.mat = nil
 	return nil
 }
 
-// insertAdj places w into v's sorted inserted-neighbor list.
-func (o *Overlay) insertAdj(v int, w int32) {
-	a := o.addAdj[v]
-	i := sort.Search(len(a), func(i int) bool { return a[i] >= w })
-	a = append(a, 0)
+// insertAdj places x into v's sorted inserted-edge list.
+func (o *Overlay) insertAdj(v int, x Incidence) {
+	a := o.ins[v]
+	i := searchNbr(a, x.Nbr)
+	a = append(a, Incidence{})
 	copy(a[i+1:], a[i:])
-	a[i] = w
-	o.addAdj[v] = a
+	a[i] = x
+	o.ins[v] = a
 }
 
-// removeAdj drops w from v's inserted-neighbor list.
+// removeAdj drops neighbor w from v's inserted-edge list.
 func (o *Overlay) removeAdj(v int, w int32) {
-	a := o.addAdj[v]
-	i := sort.Search(len(a), func(i int) bool { return a[i] >= w })
-	o.addAdj[v] = append(a[:i], a[i+1:]...)
+	a := o.ins[v]
+	i := searchNbr(a, w)
+	o.ins[v] = append(a[:i], a[i+1:]...)
 }
 
 // bumpDeg moves v between degree-histogram buckets and tracks Δ: the max
 // pointer rises with an insert in O(1) and walks down past emptied buckets
 // after deletes, which amortizes to O(1) per mutation.
-func (o *Overlay) bumpDeg(v, delta int) {
+func (o *Overlay) bumpDeg(v int, delta int32) {
 	o.degHist[o.deg[v]]--
 	o.deg[v] += delta
 	o.degHist[o.deg[v]]++
-	if o.deg[v] > o.maxDeg {
-		o.maxDeg = o.deg[v]
+	if int(o.deg[v]) > o.maxDeg {
+		o.maxDeg = int(o.deg[v])
 	}
 	for o.maxDeg > 0 && o.degHist[o.maxDeg] == 0 {
 		o.maxDeg--
 	}
 }
 
-// AppendNeighbors appends the current neighbors of v to buf in increasing
-// vertex order and returns the extended slice. It merges the base adjacency
-// (skipping deleted edges) with the inserted-neighbor list.
-func (o *Overlay) AppendNeighbors(v int, buf []int32) []int32 {
-	baseNbrs := o.base.Neighbors(v)
-	add := o.addAdj[v]
-	i, j := 0, 0
-	for i < len(baseNbrs) || j < len(add) {
-		var w int32
-		switch {
-		case j >= len(add) || (i < len(baseNbrs) && baseNbrs[i] < add[j]):
-			w = baseNbrs[i]
-			i++
-			if _, gone := o.removed[canonical(v, int(w))]; gone {
-				continue
-			}
-		default:
-			w = add[j]
+// AppendIncident appends the current adjacency of v to buf in increasing
+// neighbor order and returns the extended slice. It merges the base CSR run
+// (skipping deleted edges) with the inserted-edge list.
+func (o *Overlay) AppendIncident(v int, buf []Incidence) []Incidence {
+	add := o.ins[v]
+	eids := o.base.IncidentEdgeIDs(v)
+	j := 0
+	for i, w := range o.base.Neighbors(v) {
+		for j < len(add) && add[j].Nbr < w {
+			buf = append(buf, add[j])
 			j++
 		}
-		buf = append(buf, w)
+		if id := eids[i]; !o.isRemoved(id) {
+			buf = append(buf, Incidence{Nbr: w, Slot: id})
+		}
+	}
+	return append(buf, add[j:]...)
+}
+
+// AppendNeighbors appends the current neighbors of v to buf in increasing
+// vertex order and returns the extended slice.
+func (o *Overlay) AppendNeighbors(v int, buf []int32) []int32 {
+	for _, x := range o.AppendIncident(v, nil) {
+		buf = append(buf, x.Nbr)
 	}
 	return buf
 }
 
-// Materialize builds the current graph as an immutable CSR Graph (default
-// identifiers). The result is memoized until the next mutation; compaction
-// and read-heavy callers therefore share one build.
-func (o *Overlay) Materialize() *Graph {
-	if o.mat != nil {
-		return o.mat
-	}
-	b := NewBuilder(o.N())
-	for _, e := range o.base.Edges() {
-		if _, gone := o.removed[e]; !gone {
-			_ = b.AddEdge(e.U, e.V)
+// AppendEdges appends the current edges in canonical (lexicographic) order
+// to edges, and their slots in the same order to slots, and returns both.
+// Entry i of the result is the edge id Materialize would give it.
+func (o *Overlay) AppendEdges(edges []Edge, slots []int32) ([]Edge, []int32) {
+	var adj []Incidence
+	for u := range o.N() {
+		adj = o.AppendIncident(u, adj[:0])
+		for _, x := range adj {
+			if int(x.Nbr) > u {
+				edges = append(edges, Edge{U: u, V: int(x.Nbr)})
+				slots = append(slots, x.Slot)
+			}
 		}
 	}
-	for e := range o.added {
-		_ = b.AddEdge(e.U, e.V)
-	}
-	o.mat = b.Build()
-	return o.mat
+	return edges, slots
 }
 
-// Compact materializes the current graph, installs it as the new base, and
-// clears the churn layer. Adjacency queries after a compaction read pure CSR
-// again. Returns the new base.
-func (o *Overlay) Compact() *Graph {
-	g := o.Materialize()
-	o.base = g
-	o.added = make(map[Edge]struct{})
-	o.removed = make(map[Edge]struct{})
-	o.addAdj = make(map[int][]int32)
-	return g
+// Materialize builds the current graph as an immutable CSR Graph (default
+// identifiers). With an empty churn layer it is the base itself; otherwise
+// every call builds a fresh graph.
+func (o *Overlay) Materialize() *Graph {
+	if o.Pending() == 0 {
+		return o.base
+	}
+	edges, _ := o.AppendEdges(make([]Edge, 0, o.m), nil)
+	return fromSortedEdges(o.N(), edges)
+}
+
+// Compact installs the current graph as the new base and clears the churn
+// layer; adjacency queries after a compaction read pure CSR again. The
+// slots are renumbered to the new base's edge ids: it returns oldSlot, where
+// oldSlot[id] is the slot the edge with new id had before.
+func (o *Overlay) Compact() (oldSlot []int32) {
+	edges, oldSlot := o.AppendEdges(make([]Edge, 0, o.m), make([]int32, 0, o.m))
+	o.setBase(fromSortedEdges(o.N(), edges))
+	return oldSlot
 }

@@ -514,3 +514,37 @@ func TestEdgelessBodies(t *testing.T) {
 		s.Close()
 	}
 }
+
+// TestEdgelessVertexBodies pins the /v1/color bodies of the servable vertex
+// algorithms on an edgeless graph, on the flat-pass engine and on the
+// scheduler: every vertex takes color 1 of the palette Δ+1 = 1, spending no
+// round.
+func TestEdgelessVertexBodies(t *testing.T) {
+	keys := map[string]string{
+		"be":     "9ff8646466b03cba96b00a5dfd28bfe9bf64e62f32712529a8c428f8de47258e",
+		"greedy": "dd174a687d0fb185f70ae3d190c697f444d6ce48821fdbd61bc52169a1794aa3",
+	}
+	for _, e := range []dist.Engine{dist.Compiled, dist.Goroutines} {
+		cfg := testConfig()
+		cfg.Engine = e
+		s := New(cfg)
+		srv := httptest.NewServer(s.Handler())
+		for _, alg := range []string{"be", "greedy"} {
+			req := `{"kind":"vertex","alg":"` + alg + `","graph":{"family":"gnm","n":5,"m":0,"seed":1}}`
+			resp, err := http.Post(srv.URL+"/v1/color", "application/json", strings.NewReader(req))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			want := `{"key":"` + keys[alg] + `","kind":"vertex","alg":"` + alg + `","graph":"gnm(n=5,m=0,seed=1)",` +
+				`"n":5,"m":0,"delta":0,"palette":1,"numColors":1,"colors":[1,1,1,1,1],` +
+				`"stats":{"rounds":0,"bytes":0,"maxMessageBytes":0,"activations":0}}` + "\n"
+			if resp.StatusCode != http.StatusOK || string(got) != want {
+				t.Errorf("%v %s: status %d body\n%s\nwant\n%s", e, alg, resp.StatusCode, got, want)
+			}
+		}
+		srv.Close()
+		s.Close()
+	}
+}
