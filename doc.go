@@ -19,13 +19,12 @@
 // Determinism makes the algorithms servable: cmd/colord is a long-running
 // HTTP/JSON coloring daemon (internal/service) with a deterministic result
 // cache keyed by canonical graph fingerprints, single-flight coalescing of
-// concurrent misses, and a bounded worker stage of one-shot runs; cmd/loadgen
-// drives it with mixed closed-loop workloads and reports latency and
-// throughput, and the colordbench module is its end-to-end benchmark.
-// Locality makes them maintainable: internal/dynamic keeps a legal edge
-// coloring across edge insertions and deletions by running the dist engines
-// on only the induced repair region (POST /v1/mutate serves named mutable
-// graph sessions; loadgen's churn mode measures mutation throughput against
+// concurrent misses, and a bounded worker stage of one-shot runs; the
+// colordbench module is its end-to-end benchmark. Locality makes them
+// maintainable: internal/dynamic keeps a legal edge coloring across edge
+// insertions and deletions by running the dist engines on only the induced
+// repair region (POST /v1/mutate serves named mutable graph sessions;
+// colordbench's churn workload measures mutation throughput against
 // deterministic exp.MutationStream workloads), with the maintained coloring
 // byte-identical to a documented canonical recompute of the mutated graph at
 // every step.

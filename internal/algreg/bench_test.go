@@ -9,8 +9,9 @@ import (
 	"repro/internal/graph"
 )
 
-// smallMixGraphs names each servable algorithm's graph in loadgen's small
-// mix (fewcolors takes the fewcolors mix's gnm(64,192)).
+// smallMixGraphs names each servable algorithm's graph among the small
+// requests of TestServedPalettes (internal/service); fewcolors takes
+// edge/be's gnm(64,192).
 var smallMixGraphs = map[string]exp.GraphSpec{
 	"edge/be":        {Family: "gnm", N: 64, M: 192, Seed: 1},
 	"edge/pr":        {Family: "regular", N: 48, Deg: 4, Seed: 2},

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 
 	"repro/internal/algreg"
@@ -82,6 +83,64 @@ func TestQualityKnob(t *testing.T) {
 		if _, _, err := s.Handle(bad); err == nil {
 			t.Fatalf("%+v: want error", bad)
 		}
+	}
+}
+
+// TestServedPalettes pins the served palette of 16 fixed requests exactly:
+// the five fast-tier algorithms on small graphs, the same on larger and
+// denser ones, and the fewcolors tier against the fast tier on one graph.
+// Palettes are deterministic, so any change is an algorithm change, not
+// noise.
+func TestServedPalettes(t *testing.T) {
+	tmpl := func(kind, alg string, spec exp.GraphSpec) Request {
+		return Request{Kind: kind, Alg: alg, Graph: spec}
+	}
+	q := func(spec exp.GraphSpec) Request {
+		return Request{Kind: "edge", Quality: "fewcolors", Graph: spec}
+	}
+	for _, tc := range []struct {
+		name     string
+		reqs     []Request
+		palettes []int
+	}{
+		{"small", []Request{
+			tmpl("edge", "be", exp.GraphSpec{Family: "gnm", N: 64, M: 192, Seed: 1}),
+			tmpl("edge", "pr", exp.GraphSpec{Family: "regular", N: 48, Deg: 4, Seed: 2}),
+			tmpl("edge", "greedy", exp.GraphSpec{Family: "tree", N: 64, Seed: 3}),
+			tmpl("vertex", "be", exp.GraphSpec{Family: "powercycle", N: 40, Deg: 3}),
+			tmpl("vertex", "greedy", exp.GraphSpec{Family: "cycle", N: 64}),
+		}, []int{13, 6, 8, 7, 2}},
+		{"medium", []Request{
+			tmpl("edge", "be", exp.GraphSpec{Family: "gnm", N: 256, M: 1024, Seed: 1}),
+			tmpl("edge", "be", exp.GraphSpec{Family: "linegraph", N: 32, M: 120, Seed: 2}),
+			tmpl("edge", "pr", exp.GraphSpec{Family: "regular", N: 128, Deg: 8, Seed: 3}),
+			tmpl("edge", "greedy", exp.GraphSpec{Family: "gnm", N: 128, M: 384, Seed: 4}),
+			tmpl("vertex", "be", exp.GraphSpec{Family: "powercycle", N: 120, Deg: 4}),
+			tmpl("vertex", "be", exp.GraphSpec{Family: "linegraph", N: 24, M: 70, Seed: 5}),
+			tmpl("vertex", "greedy", exp.GraphSpec{Family: "geometric", N: 160, Seed: 6}),
+		}, []int{18, 22, 12, 12, 9, 17, 6}},
+		{"fewcolors", []Request{
+			q(exp.GraphSpec{Family: "gnm", N: 64, M: 192, Seed: 1}),
+			q(exp.GraphSpec{Family: "regular", N: 48, Deg: 4, Seed: 2}),
+			q(exp.GraphSpec{Family: "geometric", N: 96, Seed: 3}),
+			tmpl("edge", "pr", exp.GraphSpec{Family: "gnm", N: 64, M: 192, Seed: 1}),
+		}, []int{13, 6, 5, 13}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New(testConfig())
+			defer s.Close()
+			got := make([]int, len(tc.reqs))
+			for i, req := range tc.reqs {
+				resp, _, err := s.Handle(req)
+				if err != nil {
+					t.Fatalf("%+v: %v", req, err)
+				}
+				got[i] = resp.NumColors
+			}
+			if !slices.Equal(got, tc.palettes) {
+				t.Errorf("palettes %v, want %v", got, tc.palettes)
+			}
+		})
 	}
 }
 

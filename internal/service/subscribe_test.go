@@ -60,11 +60,20 @@ func readSSE(r *bufio.Reader) (sseEvent, error) {
 }
 
 // TestSubscribeStreamsDeltas is the end-to-end streaming contract over real
-// HTTP: a subscriber receives a hello snapshot, then one delta per committed
+// HTTP, for one subscriber and for a fan-out of 50 on the same session: each
+// subscriber receives a hello snapshot, then one delta per committed
 // mutation — in commit order, consecutive seq, each carrying the same
 // fingerprint the mutate response reported, with the changed set naming the
 // inserted edge.
 func TestSubscribeStreamsDeltas(t *testing.T) {
+	for _, subs := range []int{1, 50} {
+		t.Run(fmt.Sprintf("subs=%d", subs), func(t *testing.T) {
+			testSubscribeStreamsDeltas(t, subs)
+		})
+	}
+}
+
+func testSubscribeStreamsDeltas(t *testing.T, subs int) {
 	s := New(testConfig())
 	defer s.Close()
 	srv := httptest.NewServer(s.Handler())
@@ -75,31 +84,43 @@ func TestSubscribeStreamsDeltas(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	resp, err := http.Get(srv.URL + "/v1/subscribe?session=feed")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d, want 200", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("content type %q", ct)
-	}
-	rd := bufio.NewReader(resp.Body)
-	ev, err := readSSE(rd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ev.event != "hello" {
-		t.Fatalf("first event %q, want hello", ev.event)
-	}
-	var hello HelloEvent
-	if err := json.Unmarshal(ev.data, &hello); err != nil {
-		t.Fatal(err)
-	}
-	if hello.Session != "feed" || hello.N != 16 || hello.M != 16 {
-		t.Fatalf("hello %+v", hello)
+	// Every subscriber has its hello before the first commit, so each must
+	// see every delta. The deadline turns a lost frame into a failed read
+	// instead of a hung test.
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	streams := make([]*bufio.Reader, subs)
+	hellos := make([]HelloEvent, subs)
+	for k := range streams {
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, srv.URL+"/v1/subscribe?session=feed", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("subscriber %d: status %d, want 200", k, resp.StatusCode)
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
+			t.Fatalf("subscriber %d: content type %q", k, ct)
+		}
+		streams[k] = bufio.NewReader(resp.Body)
+		ev, err := readSSE(streams[k])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ev.event != "hello" {
+			t.Fatalf("subscriber %d: first event %q, want hello", k, ev.event)
+		}
+		if err := json.Unmarshal(ev.data, &hellos[k]); err != nil {
+			t.Fatal(err)
+		}
+		if h := hellos[k]; h.Session != "feed" || h.N != 16 || h.M != 16 {
+			t.Fatalf("subscriber %d: hello %+v", k, h)
+		}
 	}
 
 	// Alternate inserting and deleting a chord: every commit must stream.
@@ -118,52 +139,54 @@ func TestSubscribeStreamsDeltas(t *testing.T) {
 		fingerprints[i] = r.Fingerprint
 	}
 
-	for i, op := range ops {
-		ev, err := readSSE(rd)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ev.event != "delta" {
-			t.Fatalf("delta %d: event %q", i, ev.event)
-		}
-		var d DeltaEvent
-		if err := json.Unmarshal(ev.data, &d); err != nil {
-			t.Fatal(err)
-		}
-		if d.Seq != hello.Seq+int64(i)+1 {
-			t.Fatalf("delta %d: seq %d, want %d", i, d.Seq, hello.Seq+int64(i)+1)
-		}
-		if ev.id != d.Seq {
-			t.Fatalf("delta %d: SSE id %d != seq %d", i, ev.id, d.Seq)
-		}
-		if d.Op != op {
-			t.Fatalf("delta %d: op %+v, want %+v", i, d.Op, op)
-		}
-		if d.Fingerprint != fingerprints[i] {
-			t.Fatalf("delta %d: fingerprint %q, mutate reported %q", i, d.Fingerprint, fingerprints[i])
-		}
-		if op.Op == exp.OpInsert {
-			found := false
-			for _, c := range d.Changed {
-				if c.U == op.U && c.V == op.V {
-					found = true
+	for k, rd := range streams {
+		for i, op := range ops {
+			ev, err := readSSE(rd)
+			if err != nil {
+				t.Fatalf("subscriber %d: %v", k, err)
+			}
+			if ev.event != "delta" {
+				t.Fatalf("subscriber %d, delta %d: event %q", k, i, ev.event)
+			}
+			var d DeltaEvent
+			if err := json.Unmarshal(ev.data, &d); err != nil {
+				t.Fatal(err)
+			}
+			if want := hellos[k].Seq + int64(i) + 1; d.Seq != want {
+				t.Fatalf("subscriber %d, delta %d: seq %d, want %d", k, i, d.Seq, want)
+			}
+			if ev.id != d.Seq {
+				t.Fatalf("subscriber %d, delta %d: SSE id %d != seq %d", k, i, ev.id, d.Seq)
+			}
+			if d.Op != op {
+				t.Fatalf("subscriber %d, delta %d: op %+v, want %+v", k, i, d.Op, op)
+			}
+			if d.Fingerprint != fingerprints[i] {
+				t.Fatalf("subscriber %d, delta %d: fingerprint %q, mutate reported %q", k, i, d.Fingerprint, fingerprints[i])
+			}
+			if op.Op == exp.OpInsert {
+				found := false
+				for _, c := range d.Changed {
+					if c.U == op.U && c.V == op.V {
+						found = true
+					}
+				}
+				if !found {
+					t.Fatalf("subscriber %d, delta %d: inserted edge (%d,%d) not in changed set %+v", k, i, op.U, op.V, d.Changed)
 				}
 			}
-			if !found {
-				t.Fatalf("delta %d: inserted edge (%d,%d) not in changed set %+v", i, op.U, op.V, d.Changed)
+			if d.TS == 0 {
+				t.Fatalf("subscriber %d, delta %d: zero commit timestamp", k, i)
 			}
-		}
-		if d.TS == 0 {
-			t.Fatalf("delta %d: zero commit timestamp", i)
 		}
 	}
 
 	st := s.Stats()
-	if st.Subscribers != 1 || st.Subscribes != 1 {
-		t.Fatalf("gauge %d / subscribes %d, want 1/1", st.Subscribers, st.Subscribes)
+	if st.Subscribers != int64(subs) || st.Subscribes != int64(subs) {
+		t.Fatalf("gauge %d / subscribes %d, want %d/%d", st.Subscribers, st.Subscribes, subs, subs)
 	}
-	if st.Delivered < int64(len(ops)) {
-		t.Fatalf("delivered %d, want >= %d", st.Delivered, len(ops))
+	if st.Delivered < int64(subs*len(ops)) {
+		t.Fatalf("delivered %d, want >= %d", st.Delivered, subs*len(ops))
 	}
 }
 
